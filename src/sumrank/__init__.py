@@ -7,7 +7,7 @@ certificates on the minimum sum-rank distance, validated against an
 exhaustive distance oracle at desk scale.
 """
 
-from .bivar import BivarPoly, biv_mul, ev_az, ev_total, mu_map, nu_inverse, nu_map, psi_map
+from .bivar import BivarPoly, biv_mul, ev_az, ev_total, nu_inverse, nu_map, psi_map
 from .bounds import (
     BoundCertificate,
     BoundParams,

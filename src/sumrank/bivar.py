@@ -178,11 +178,6 @@ def nu_inverse(f: BivarPoly):
     return tuple(f.coeffs[i][j] for i in range(ell) for j in range(N))
 
 
-def mu_map(c, tower: FieldTower, level: str = "F") -> BivarPoly:
-    """Same coefficient grid as nu_map; x-outer reading of the same vector."""
-    return nu_map(c, tower, level)
-
-
 def ev_az(f: BivarPoly, a) -> SkewPoly:
     """Substitute x := a (an ell-th root of unity in K) in every coefficient."""
     t = f.tower

@@ -31,66 +31,21 @@ from .codes import (
     is_cyclic_skew_cyclic,
     min_distance_bruteforce,
 )
-from .errors import BudgetExceeded, ParseError, SumrankError
+from .errors import BudgetExceeded, ParseError, SumrankError, UnreadableInput
 from .product import factor_distances, product_code_from_polys, product_generator_poly
-from .skew import SkewPoly, parse_poly
+from .skew import SkewPoly, parse_coeff, parse_poly, parse_terms
 from .tower import FieldTower, build_tower
-
-_BIV_TERM_RE = re.compile(
-    r"^\s*(?:(g(?:\^\d+)?|\d+)\s*\*?)?\s*(?:x(?:\^(\d+))?)?\s*\*?\s*(?:z(?:\^(\d+))?)?\s*$"
-)
 
 
 def parse_bivar(text: str, tower: FieldTower, level: str = "F") -> BivarPoly:
-    """Parse "3*x^2*z + x + 1" style text into a coefficient grid."""
+    """Parse "g^3*x^2*z + x + 1" style text into a coefficient grid;
+    coefficients as in `parse_coeff`, exponents reduced mod (ell, N)."""
     gf = tower.gf(level)
     grid = [[0] * tower.N for _ in range(tower.ell)]
-    text = text.strip()
-    if text == "0":
-        return BivarPoly.from_lists(tower, level, grid)
-    for raw in re.findall(r"[+-]?[^+-]+", text):
-        raw = raw.strip()
-        sign = 1
-        if raw.startswith("-"):
-            sign, raw = -1, raw[1:].strip()
-        elif raw.startswith("+"):
-            raw = raw[1:].strip()
-        m = _BIV_TERM_RE.match(raw)
-        if not m or not raw:
-            raise ParseError(f"bad term {raw!r}")
-        cstr, xe, ze = m.groups()
-        if cstr is None and xe is None and ze is None and "x" not in raw and "z" not in raw:
-            raise ParseError(f"bad term {raw!r}")
-        if cstr is None:
-            c = 1
-        elif cstr.startswith("g"):
-            k = int(cstr[2:]) if cstr.startswith("g^") else 1
-            c = gf.pow(gf.gen, k)
-        else:
-            c = int(cstr)
-            if not 0 <= c < gf.order:
-                raise ParseError(f"coefficient {c} out of range")
-        if sign < 0:
-            c = gf.neg(c)
-        i = (int(xe) if xe else (1 if "x" in raw else 0)) % tower.ell
-        j = (int(ze) if ze else (1 if "z" in raw else 0)) % tower.N
+    for c, exps in parse_terms(text, gf, "xz"):
+        i, j = exps.get("x", 0) % tower.ell, exps.get("z", 0) % tower.N
         grid[i][j] = gf.add(grid[i][j], c)
     return BivarPoly.from_lists(tower, level, grid)
-
-
-def _parse_token(tok: str, gf) -> int:
-    if tok.startswith("g"):
-        k = int(tok[2:]) if tok.startswith("g^") else (1 if tok == "g" else None)
-        if k is None:
-            raise ParseError(f"bad field token {tok!r}")
-        return gf.pow(gf.gen, k)
-    try:
-        v = int(tok)
-    except ValueError:
-        raise ParseError(f"bad field token {tok!r}")
-    if not 0 <= v < gf.order:
-        raise ParseError(f"field token {v} out of range for order {gf.order}")
-    return v
 
 
 class CodeSpec:
@@ -147,10 +102,13 @@ def parse_code_spec(text: str) -> CodeSpec:
             line = line.strip()
             if not line:
                 continue
-            rows.append([_parse_token(tok, t.F) for tok in re.split(r"[,\s]+", line)])
+            rows.append([parse_coeff(tok, t.F) for tok in re.split(r"[,\s]+", line)])
         parts_raw = sec.get("parts", "")
         if parts_raw:
-            part = Partition(tuple(int(x) for x in re.split(r"[,\s]+", parts_raw.strip())))
+            try:
+                part = Partition(tuple(int(x) for x in re.split(r"[,\s]+", parts_raw.strip())))
+            except ValueError:
+                raise ParseError(f"bad parts {parts_raw!r}")
         else:
             part = Partition.equal(t.ell, t.N)
         code = LinearCode(t, rows, part)
@@ -172,9 +130,16 @@ def parse_code_spec(text: str) -> CodeSpec:
     raise ParseError("need a [matrix] or [generator] section")
 
 
+def _read(path: str, what: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise UnreadableInput(f"cannot read {what} {path!r}: {exc.strerror or exc}")
+
+
 def load_code_spec(path: str) -> CodeSpec:
-    with open(path) as fh:
-        return parse_code_spec(fh.read())
+    return parse_code_spec(_read(path, "code spec"))
 
 
 def _render(report: dict, fmt: str) -> str:
@@ -299,31 +264,41 @@ def cmd_product(args) -> int:
     return 0
 
 
+def _load_certificate(path: str):
+    """The claimed (params, bound, grid, code_id) of a certificate JSON file."""
+    try:
+        data = json.loads(_read(path, "certificate"))
+        pd = data["params"]
+        params = BoundParams(
+            pd["kind"],
+            pd["b"],
+            pd["delta"],
+            t=pd.get("t"),
+            r=pd.get("r", 0),
+            t1=pd.get("t1"),
+            t2=pd.get("t2"),
+            s=pd.get("s"),
+            ks=tuple(pd["ks"]) if "ks" in pd else None,
+        )
+        if params.kind not in CHECKERS:
+            raise ParseError(f"unknown certificate kind {params.kind!r}")
+        return params, data["bound"], data["grid"], data.get("code_id")
+    except KeyError as exc:
+        raise ParseError(f"certificate lacks {exc}")
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise ParseError(f"malformed certificate: {exc}")
+
+
 def cmd_verify(args) -> int:
-    with open(args.certificate) as fh:
-        data = json.load(fh)
+    params, bound, grid, code_id = _load_certificate(args.certificate)
     spec = load_code_spec(args.code)
-    if data.get("code_id") and data["code_id"] != spec.code.code_id():
+    if code_id and code_id != spec.code.code_id():
         raise SumrankError("certificate code_id does not match the code")
-    pd = data["params"]
-    params = BoundParams(
-        pd["kind"],
-        pd["b"],
-        pd["delta"],
-        t=pd.get("t"),
-        r=pd.get("r", 0),
-        t1=pd.get("t1"),
-        t2=pd.get("t2"),
-        s=pd.get("s"),
-        ks=tuple(pd["ks"]) if "ks" in pd else None,
-    )
     D = spec.defining_view()
     cert = CHECKERS[params.kind](D, params, spec.code.code_id())
-    if cert.bound != data["bound"]:
-        raise SumrankError(
-            f"recomputed bound {cert.bound} != certificate bound {data['bound']}"
-        )
-    if [list(p) for p in cert.grid] != [list(p) for p in data["grid"]]:
+    if cert.bound != bound:
+        raise SumrankError(f"recomputed bound {cert.bound} != certificate bound {bound}")
+    if [list(p) for p in cert.grid] != [list(p) for p in grid]:
         raise SumrankError("recomputed grid differs from the certificate grid")
     _report(args, {"verified": True, "certificate": cert.as_dict()})
     return 0
@@ -331,7 +306,6 @@ def cmd_verify(args) -> int:
 
 def _add_common(p):
     p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized paths")
 
 
 def build_parser() -> argparse.ArgumentParser:

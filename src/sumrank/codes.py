@@ -2,8 +2,9 @@
 
 A LinearCode is canonically represented by the RREF of its generator matrix,
 so equality and membership are syntactic.  The exhaustive minimum-distance
-oracle delegates to the table-driven kernel in `kernels` and is guarded by
-an enumeration budget (default 2^24 codewords, override via SUMRANK_BUDGET).
+oracle delegates to the numpy kernel in `kernels` and is guarded by an
+enumeration budget (default 2^24, override via SUMRANK_BUDGET) that counts
+all |F|^k codewords, although the kernel visits one per F*-line.
 """
 
 from __future__ import annotations

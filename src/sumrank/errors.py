@@ -64,6 +64,18 @@ class ZeroCode(SumrankError):
     pass
 
 
+class FieldTooLarge(SumrankError):
+    pass
+
+
+class InvalidParameter(SumrankError):
+    pass
+
+
+class UnreadableInput(SumrankError):
+    pass
+
+
 class ShapeMismatch(SumrankError):
     pass
 

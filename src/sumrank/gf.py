@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .errors import NotPrime
+from .errors import FieldTooLarge, InvalidParameter, NotPrime
 
 MAX_ORDER = 1 << 16
 
@@ -59,10 +59,10 @@ class GF:
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         if deg < 1:
-            raise ValueError("degree must be positive")
+            raise InvalidParameter("degree must be positive")
         order = p**deg
         if order > MAX_ORDER:
-            raise ValueError(f"field order {order} exceeds table cap {MAX_ORDER}")
+            raise FieldTooLarge(f"field order {order} exceeds table cap {MAX_ORDER}")
         self.p = p
         self.deg = deg
         self.order = order

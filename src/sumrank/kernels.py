@@ -1,113 +1,23 @@
-"""Hot loops for exhaustive codeword enumeration.
+"""Exhaustive minimum sum-rank weight of an F-linear code, vectorized in numpy.
 
-The minimum-distance oracle enumerates all |F|^k codewords of a code with a
-table-driven odometer: field arithmetic is lookup in dense add/mul tables,
-and block ranks are computed by Gaussian elimination on subfield coordinate
-rows.  The kernel is compiled with numba when available; setting
-SUMRANK_NO_NUMBA=1 selects the uncompiled pure-Python/NumPy path (same code,
-no JIT), which `python -m sumrank.bench` compares against the compiled one.
+Scaling a codeword by an element of F* keeps every block rank, so one
+message per F*-line suffices: leading digit 1 at some position i, then every
+tail.  Codewords are built in chunks of at most CHUNK by `addF` gathers of a
+prefix row over the precomputed span of the last rows.  Block ranks over the
+subfield come from one vectorized Gaussian elimination on the coordinate
+rows; for blocks with at most TABLE_CAP possible values it is run once on
+every value and memoized as a lookup table.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLED = os.environ.get("SUMRANK_NO_NUMBA", "") == "1"
+from .errors import FieldTooLarge
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency normally
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and not _DISABLED
-
-
-def _min_weight_impl(G, mulF, addF, coord, mulS, subS, invS, parts):
-    """Minimum sum-rank weight over all nonzero F-linear combinations of G.
-
-    G: (k, n) generator rows, entries are F encodings.
-    coord: (|F|, mS) subfield coordinates of every F element.
-    parts: block sizes (sum = n).  Returns the minimum weight.
-    """
-    k, n = G.shape
-    q = mulF.shape[0]
-    mS = coord.shape[1]
-    nblocks = parts.shape[0]
-    maxnb = 0
-    for b in range(nblocks):
-        if parts[b] > maxnb:
-            maxnb = parts[b]
-    digits = np.zeros(k, np.int64)
-    prefix = np.zeros((k + 1, n), np.int64)
-    basis = np.zeros((maxnb, mS), np.int64)
-    pivcol = np.zeros(maxnb, np.int64)
-    work = np.zeros(mS, np.int64)
-    best = np.int64(1 << 62)
-    while True:
-        pos = k - 1
-        while pos >= 0 and digits[pos] == q - 1:
-            digits[pos] = 0
-            pos -= 1
-        if pos < 0:
-            break
-        digits[pos] += 1
-        for i in range(pos, k):
-            d = digits[i]
-            for j in range(n):
-                if d == 0:
-                    prefix[i + 1, j] = prefix[i, j]
-                else:
-                    prefix[i + 1, j] = addF[prefix[i, j], mulF[d, G[i, j]]]
-        # sum-rank weight of prefix[k], with early exit at the current best
-        w = np.int64(0)
-        off = 0
-        for b in range(nblocks):
-            nb = parts[b]
-            r = 0
-            for tcol in range(nb):
-                e = prefix[k, off + tcol]
-                if e == 0:
-                    continue
-                for j in range(mS):
-                    work[j] = coord[e, j]
-                # eliminate against the existing pivot rows
-                for row in range(r):
-                    f = work[pivcol[row]]
-                    if f != 0:
-                        for j in range(mS):
-                            work[j] = subS[work[j], mulS[f, basis[row, j]]]
-                lead = -1
-                for j in range(mS):
-                    if work[j] != 0:
-                        lead = j
-                        break
-                if lead >= 0:
-                    s = invS[work[lead]]
-                    for j in range(mS):
-                        basis[r, j] = mulS[s, work[j]]
-                    pivcol[r] = lead
-                    r += 1
-            w += r
-            off += nb
-            if w >= best:
-                break
-        if w < best:
-            best = w
-            if best <= 1:
-                break
-    return best
-
-
-if USE_NUMBA:
-    min_weight_kernel = njit(cache=True)(_min_weight_impl)
-else:
-    min_weight_kernel = _min_weight_impl
-
-min_weight_pure = _min_weight_impl
+CHUNK = 4096  # codewords per chunk
+TABLE_CAP = 4096  # largest |F|^b memoized as a block-rank table
+ORDER_CAP = 4096  # largest |F| with dense add/mul tables
 
 
 class FieldTables:
@@ -116,43 +26,88 @@ class FieldTables:
     def __init__(self, tower, level="F", sub="E"):
         big = tower.gf(level)
         small = tower.gf(sub)
-        if big.order > 4096:
-            raise ValueError(f"enumeration tables capped at order 4096, got {big.order}")
+        if big.order > ORDER_CAP:
+            raise FieldTooLarge(
+                f"enumeration tables capped at order {ORDER_CAP}, got {big.order}"
+            )
         q, qs = big.order, small.order
-        self.mulF = np.zeros((q, q), np.int64)
-        self.addF = np.zeros((q, q), np.int64)
-        for a in range(q):
-            for b in range(q):
-                self.mulF[a, b] = big.mul(a, b)
-                self.addF[a, b] = big.add(a, b)
-        mS = big.deg // small.deg
-        self.coord = np.zeros((q, mS), np.int64)
-        for a in range(q):
-            self.coord[a] = tower.coords(level, sub, a)
-        self.mulS = np.zeros((qs, qs), np.int64)
-        self.subS = np.zeros((qs, qs), np.int64)
-        self.invS = np.zeros(qs, np.int64)
-        for a in range(qs):
-            for b in range(qs):
-                self.mulS[a, b] = small.mul(a, b)
-                self.subS[a, b] = small.sub(a, b)
-            if a:
-                self.invS[a] = small.inv(a)
+        i16 = np.int16  # entries are below ORDER_CAP; narrow chunks keep peak RSS low
+        self.mulF = np.array([[big.mul(a, b) for b in range(q)] for a in range(q)], i16)
+        self.addF = np.array([[big.add(a, b) for b in range(q)] for a in range(q)], i16)
+        self.coord = np.array([tower.coords(level, sub, a) for a in range(q)], i16)
+        self.mulS = np.array([[small.mul(a, b) for b in range(qs)] for a in range(qs)], i16)
+        self.subS = np.array([[small.sub(a, b) for b in range(qs)] for a in range(qs)], i16)
+        self.invS = np.array([small.inv(a) if a else 0 for a in range(qs)], i16)
+        self.rank_tables = {}  # block size b -> ranks of all |F|^b blocks
+
+    def ranks(self, blocks):
+        """Subfield ranks of (M, b) blocks of F entries, as an (M,) array.
+
+        Each pivot row is eliminated from every row, itself included, so a
+        used row turns zero and is never picked again.
+        """
+        X = self.coord[blocks]  # (M, b, mS) subfield coordinates
+        rank = np.zeros(len(X), np.int64)
+        rows = np.arange(len(X))
+        for c in range(X.shape[2]):
+            col = X[:, :, c]
+            nz = col != 0
+            pivot = X[rows, nz.argmax(1)]
+            pivot = self.mulS[self.invS[pivot[:, c]][:, None], pivot]
+            X = self.subS[X, self.mulS[col[:, :, None], pivot[:, None, :]]]
+            rank += nz.any(1)
+        return rank
+
+    def block_ranks(self, blocks):
+        """Ranks of (M, b) blocks, by table lookup when |F|^b <= TABLE_CAP."""
+        q, b = len(self.addF), blocks.shape[1]
+        if q**b > TABLE_CAP:
+            return self.ranks(blocks)
+        powers = q ** np.arange(b)
+        if b not in self.rank_tables:
+            every = np.arange(q**b)[:, None] // powers % q
+            self.rank_tables[b] = self.ranks(every)
+        return self.rank_tables[b][blocks @ powers]
 
 
-def min_weight(G, tables: FieldTables, parts, pure=False):
-    Ga = np.asarray(G, np.int64)
-    pa = np.asarray(parts, np.int64)
-    kern = min_weight_pure if pure else min_weight_kernel
-    return int(
-        kern(
-            Ga,
-            tables.mulF,
-            tables.addF,
-            tables.coord,
-            tables.mulS,
-            tables.subS,
-            tables.invS,
-            pa,
-        )
-    )
+def _span(rows, tables):
+    """All F-linear combinations of `rows`, as a (|F|^len(rows), n) array."""
+    S = np.zeros((1, rows.shape[1]), tables.addF.dtype)
+    for row in rows:
+        S = tables.addF[S[None], tables.mulF[:, row][:, None]].reshape(-1, rows.shape[1])
+    return S
+
+
+def _prefixes(lead, rows, tables):
+    """lead plus every F-linear combination of `rows`, one at a time."""
+    if not len(rows):
+        yield lead
+        return
+    for c in range(len(tables.addF)):
+        yield from _prefixes(tables.addF[lead, tables.mulF[c, rows[0]]], rows[1:], tables)
+
+
+def min_weight(G, tables: FieldTables, parts):
+    """Minimum sum-rank weight over the nonzero F-linear combinations of G.
+
+    G: (k, n) generator rows of F encodings; parts: block sizes (sum = n).
+    """
+    G = np.asarray(G, np.int64)
+    k = len(G)
+    q = len(tables.addF)
+    last = 0  # rows in the chunk span: the largest r with q^r <= CHUNK
+    while q ** (last + 1) <= CHUNK:
+        last += 1
+    bounds = np.cumsum((0,) + tuple(parts))
+    best = int(bounds[-1]) + 1  # above every weight
+    for i in range(k):
+        tail = G[i + 1 :]
+        cut = max(len(tail) - last, 0)
+        span = _span(tail[cut:], tables)
+        for prefix in _prefixes(G[i], tail[:cut], tables):
+            cw = tables.addF[prefix, span]
+            w = sum(tables.block_ranks(cw[:, a:b]) for a, b in zip(bounds, bounds[1:]))
+            best = min(best, int(w.min()))
+            if best <= 1:
+                return best
+    return best

@@ -93,18 +93,3 @@ def monic_divisors(ell: int, gf: GF):
                 out.append(cand)
     return out
 
-
-def to_string(coeffs, var: str = "x") -> str:
-    if not coeffs:
-        return "0"
-    terms = []
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        if i == 0:
-            terms.append(str(c))
-        elif i == 1:
-            terms.append(f"{var}" if c == 1 else f"{c}*{var}")
-        else:
-            terms.append(f"{var}^{i}" if c == 1 else f"{c}*{var}^{i}")
-    return " + ".join(terms)

@@ -19,6 +19,7 @@ from .errors import (
     TowerMismatch,
     ZeroBeta,
 )
+from .poly import trim
 from .tower import FieldElement, FieldTower
 
 
@@ -248,51 +249,50 @@ def to_string(f: SkewPoly, var: str = "z") -> str:
     return " + ".join(terms)
 
 
-_TERM_RE = re.compile(
-    r"^\s*(?:(g\^?\d*|\d+)\s*\*?\s*)?(?:([a-z])(?:\^(\d+))?)?\s*$"
-)
+_COEFF_RE = re.compile(r"g(?:\^(\d+))?|\d+")
+_TERM_RE = re.compile(r"(?:(g(?:\^?\d+|\^\w*)?|\d+)\s*\*?\s*)?((?:[a-z](?:\^\d+)?\s*\*?\s*)*)")
+_POWER_RE = re.compile(r"([a-z])(?:\^(\d+))?")
+
+
+def parse_coeff(tok: str, gf) -> int:
+    """A coefficient token: an integer encoding below |gf|, `g` or `g^k`."""
+    m = _COEFF_RE.fullmatch(tok)
+    if not m:
+        raise ParseError(f"bad coefficient {tok!r}")
+    if tok.startswith("g"):
+        return gf.pow(gf.gen, int(m.group(1) or 1))
+    if int(tok) >= gf.order:
+        raise ParseError(f"coefficient {tok} out of range for order {gf.order}")
+    return int(tok)
+
+
+def parse_terms(text: str, gf, variables: str):
+    """Yield (coefficient, {variable: exponent}) per term of "c*x^i*z^j + ..."."""
+    terms = re.findall(r"[+-]?[^+-]+", text)
+    if not terms:
+        raise ParseError("empty polynomial")
+    for raw in terms:
+        raw = raw.strip()
+        body = raw.lstrip("+-").strip()
+        m = _TERM_RE.fullmatch(body)
+        if not body or not m:
+            raise ParseError(f"bad term {body!r}")
+        c = parse_coeff(m.group(1), gf) if m.group(1) else 1
+        exps = {}
+        for v, e in _POWER_RE.findall(m.group(2)):
+            if v not in variables:
+                raise ParseError(f"unexpected variable {v!r}, expected one of {variables!r}")
+            exps[v] = exps.get(v, 0) + int(e or 1)
+        yield (gf.neg(c) if raw.startswith("-") else c), exps
 
 
 def parse_poly(text: str, tower: FieldTower, level: str, var: str):
-    """Parse "c0 + c1*z + c2*z^2" style text into a coefficient tuple.
-
-    Coefficient tokens are integer encodings or g^k powers of the field
-    generator.  Returns the coefficient tuple (low degree first).
-    """
+    """Parse "c0 + c1*z + c2*z^2" style text into a coefficient tuple
+    (low degree first); coefficients as in `parse_coeff`."""
     gf = tower.gf(level)
-    text = text.strip()
-    if text == "0":
-        return ()
-    coeffs = {}
-    for raw in re.findall(r"[+-]?[^+-]+", text):
-        raw = raw.strip()
-        sign = 1
-        if raw.startswith("-"):
-            sign, raw = -1, raw[1:].strip()
-        elif raw.startswith("+"):
-            raw = raw[1:].strip()
-        m = _TERM_RE.match(raw)
-        if not m or (m.group(1) is None and m.group(2) is None):
-            raise ParseError(f"bad term {raw!r}")
-        cstr, v, estr = m.groups()
-        if v is not None and v != var:
-            raise ParseError(f"unexpected variable {v!r}, expected {var!r}")
-        if cstr is None:
-            c = 1
-        elif cstr.startswith("g"):
-            k = int(cstr[2:]) if cstr.startswith("g^") else (1 if cstr == "g" else None)
-            if k is None:
-                raise ParseError(f"bad coefficient {cstr!r}")
-            c = gf.pow(gf.gen, k)
-        else:
-            c = int(cstr)
-            if not 0 <= c < gf.order:
-                raise ParseError(f"coefficient {c} out of range for {gf}")
-        if sign < 0:
-            c = gf.neg(c)
-        e = 0 if v is None else (1 if estr is None else int(estr))
-        coeffs[e] = gf.add(coeffs.get(e, 0), c)
-    out = [0] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        out[e] = c
-    return tuple(out)
+    out = []
+    for c, exps in parse_terms(text, gf, var):
+        e = exps.get(var, 0)
+        out += [0] * (e + 1 - len(out))
+        out[e] = gf.add(out[e], c)
+    return trim(out)

@@ -16,6 +16,7 @@ from . import linalg
 from .errors import (
     BlockLengthNotMultiple,
     DegreesNotCoprime,
+    InvalidParameter,
     LevelMismatch,
     NotPrime,
     RootsOfUnityAbsent,
@@ -257,7 +258,7 @@ def build_tower(p: int, e_deg: int, m: int, h: int, ell: int, N: int) -> FieldTo
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if m < 1 or h < 1 or e_deg < 1 or ell < 1 or N < 1:
-        raise ValueError("degrees and block parameters must be positive")
+        raise InvalidParameter("degrees and block parameters must be positive")
     if gcd(m, h) != 1:
         raise DegreesNotCoprime(f"gcd({m}, {h}) != 1")
     k_order = p ** (e_deg * h)

@@ -6,6 +6,7 @@ import pytest
 
 from sumrank.cli import main, parse_bivar, parse_code_spec
 from sumrank.errors import ParseError
+from sumrank.skew import parse_poly
 from sumrank.tower import build_tower
 
 TOWER_SECTION = """\
@@ -69,6 +70,8 @@ class TestParsing:
     def test_bad_token(self):
         with pytest.raises(ParseError):
             parse_code_spec(TOWER_SECTION + "\n[matrix]\nrows = 1 9 0\n")
+        with pytest.raises(ParseError):
+            parse_code_spec(MATRIX_SPEC + "parts = 3 x 3\n")
 
     def test_parse_bivar(self):
         t = build_tower(2, 1, 3, 2, 3, 3)
@@ -78,6 +81,23 @@ class TestParsing:
         assert f.coeff(2, 1) == t.F.pow(t.F.gen, 2)
         with pytest.raises(ParseError):
             parse_bivar("x + $", t)
+
+    @pytest.mark.parametrize("entry", ["parse_poly", "parse_bivar", "matrix_rows"])
+    def test_coefficient_tokens(self, entry):
+        t = build_tower(2, 1, 3, 2, 3, 3)
+
+        def parse(tok):
+            if entry == "parse_poly":
+                return parse_poly(f"{tok}*z + 1", t, "F", "z")[1]
+            if entry == "parse_bivar":
+                return parse_bivar(f"{tok}*z + 1", t).coeff(0, 1)
+            spec = parse_code_spec(TOWER_SECTION + f"\n[matrix]\nrows = 1 {tok} 0 0 0 0 0 0 0\n")
+            return spec.code.G[0][1]
+
+        assert parse("g^2") == t.F.pow(t.F.gen, 2)
+        for bad in ("g2", "9"):  # 9 is out of range on F8
+            with pytest.raises(ParseError):
+                parse(bad)
 
 
 class TestSubcommands:
@@ -170,3 +190,43 @@ class TestSubcommands:
         code, out, _ = run(capsys, "distance", "--code", str(path))
         assert code == 0
         assert json.loads(out)["d"] >= 1
+
+
+class TestErrorContract:
+    """Bad input exits 2 with the error named in a JSON object on stderr."""
+
+    def error(self, capsys, *argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        return json.loads(err)["error"]
+
+    def test_missing_spec(self, capsys, tmp_path):
+        missing = str(tmp_path / "none.code")
+        assert self.error(capsys, "distance", "--code", missing) == "UnreadableInput"
+
+    def test_missing_certificate(self, capsys, gen_spec_file, tmp_path):
+        missing = str(tmp_path / "none.json")
+        argv = ("verify", "--certificate", missing, "--code", gen_spec_file)
+        assert self.error(capsys, *argv) == "UnreadableInput"
+
+    @pytest.mark.parametrize("key", ["params", "bound", "grid"])
+    def test_certificate_lacking_key(self, capsys, gen_spec_file, tmp_path, key):
+        _, out, _ = run(
+            capsys, "certify", "bch", "--code", gen_spec_file,
+            "--b", "1", "--t", "1", "--delta", "3",
+        )
+        cert = json.loads(out)["certificate"]
+        del cert[key]
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert))
+        argv = ("verify", "--certificate", str(path), "--code", gen_spec_file)
+        assert self.error(capsys, *argv) == "ParseError"
+
+    def test_tower_zero_degree(self, capsys):
+        argv = ("tower", "--p", "2", "--m", "0", "--h", "1", "--ell", "1", "--N", "1")
+        assert self.error(capsys, *argv) == "InvalidParameter"
+
+    def test_tower_field_too_big(self, capsys):
+        # |L| = 2^21 exceeds the 2^16 field-table cap
+        argv = ("tower", "--p", "2", "--m", "3", "--h", "7", "--ell", "1", "--N", "3")
+        assert self.error(capsys, *argv) == "FieldTooLarge"

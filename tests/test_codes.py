@@ -16,9 +16,10 @@ from sumrank import (
     rho_shift,
     sumrank_weight,
 )
+from sumrank import kernels
 from sumrank.bivar import BivarPoly, biv_mul, nu_inverse
 from sumrank.codes import block_rank
-from sumrank.errors import BudgetExceeded, UnequalParts, ZeroCode
+from sumrank.errors import BudgetExceeded, FieldTooLarge, SumrankError, UnequalParts, ZeroCode
 from sumrank.kernels import FieldTables, min_weight
 
 
@@ -119,21 +120,59 @@ class TestGeneratedCodes:
         assert C.contains(list(nu_inverse(g)))
 
 
+def _scan(C, part):
+    return min(sumrank_weight(C.tower, cw, part) for cw in C.codewords() if any(cw))
+
+
 class TestKernelAgreement:
-    def test_jit_and_pure_agree(self, tower9):
+    def test_kernel_matches_codeword_scan(self, tower9, monkeypatch):
+        # min_weight against sumrank_weight over every codeword, on towers with
+        # E = F_p and E = F4, for sum-rank, Hamming, rank and unequal blocks;
+        # rank blocks exceed the table cap, so direct elimination runs too.
+        # Chunks of |F| codewords also run the prefix recursion at k = 3.
         rng = random.Random(77)
-        t = tower9
-        tables = FieldTables(t)
-        for _ in range(10):
-            k = rng.randrange(1, 4)
-            rows = [[rng.randrange(8) for _ in range(9)] for _ in range(k)]
-            C = LinearCode(t, rows, Partition.equal(3, 3))
-            if C.k == 0:
-                continue
-            parts = C.partition.parts
-            assert min_weight(C.G, tables, parts) == min_weight(
-                C.G, tables, parts, pure=True
+        towers = [tower9] + [
+            build_tower(*s) for s in ((5, 1, 2, 1, 4, 2), (3, 1, 2, 1, 2, 2), (2, 2, 2, 1, 3, 2))
+        ]
+        for t in towers:
+            q, n = t.F.order, t.n
+            tables = FieldTables(t)
+            parts = (
+                Partition.equal(t.ell, t.N),
+                Partition.hamming(n),
+                Partition.rank(n),
+                Partition((2, 3, 4)) if n == 9 else Partition((1, 2, n - 3)),
             )
+            for k in [k for k in (1, 2, 3, 3, 3) if q**k <= 1000]:
+                rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+                for part in parts:
+                    C = LinearCode(t, rows, part)
+                    d = _scan(C, part)
+                    for chunk in (kernels.CHUNK, q):
+                        monkeypatch.setattr(kernels, "CHUNK", chunk)
+                        assert min_weight(C.G, tables, part.parts) == d
+                    monkeypatch.undo()
+
+    def test_kernel_k5_chunks_and_paths(self, tower9, monkeypatch):
+        # 8^5 codewords over five leading positions; smaller chunks run the
+        # prefix recursion, a zero table cap runs direct elimination on
+        # blocks of size 3
+        rng = random.Random(5)
+        rows = [[rng.randrange(8) for _ in range(9)] for _ in range(5)]
+        C = LinearCode(tower9, rows, Partition.equal(3, 3))
+        d = _scan(C, C.partition)
+        assert d > 1
+        assert min_weight(C.G, FieldTables(tower9), C.partition.parts) == d
+        monkeypatch.setattr(kernels, "CHUNK", 64)
+        assert min_weight(C.G, FieldTables(tower9), C.partition.parts) == d
+        monkeypatch.setattr(kernels, "TABLE_CAP", 0)
+        assert min_weight(C.G, FieldTables(tower9), C.partition.parts) == d
+
+    def test_table_order_cap(self, tower9, monkeypatch):
+        monkeypatch.setattr(kernels, "ORDER_CAP", 4)
+        with pytest.raises(FieldTooLarge):
+            FieldTables(tower9)
+        assert issubclass(FieldTooLarge, SumrankError)
 
     def test_oracle_matches_direct_weight_scan(self, tower9):
         # independent slow oracle: min sum-rank weight over explicit codewords
