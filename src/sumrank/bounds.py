@@ -19,6 +19,7 @@ from .errors import (
     GridNotContained,
     NotNormal,
     NotPrimitive,
+    ParseError,
     PreconditionViolated,
     SelectionTooSmall,
     ZeroCode,
@@ -126,6 +127,54 @@ class BoundCertificate:
 
     def to_json(self):
         return json.dumps(self.as_dict(), sort_keys=True)
+
+    @classmethod
+    def from_dict(cls, data) -> "BoundCertificate":
+        """The certificate `as_dict` describes; ParseError on a missing key,
+        an unknown kind or a field that is not an integer."""
+        _object(data, ("params", "bound", "grid"), "certificate")
+        pd = _object(data["params"], ("kind", "b", "delta"), "certificate params")
+        if not isinstance(pd["kind"], str) or pd["kind"] not in CHECKERS:
+            raise ParseError(f"unknown certificate kind {pd['kind']!r}")
+        fields = {
+            key: _integer(pd[key], key)
+            for key in ("b", "delta", "r", "t", "t1", "t2", "s")
+            if pd.get(key) is not None
+        }
+        if pd.get("ks") is not None:
+            fields["ks"] = tuple(_integer(k, "ks") for k in _list(pd["ks"], "ks"))
+        grid = tuple(
+            tuple(_integer(v, "grid") for v in _list(pair, "grid", 2))
+            for pair in _list(data["grid"], "grid")
+        )
+        code_id, tower = data.get("code_id", ""), data.get("tower", {})
+        if not isinstance(code_id, str) or not isinstance(tower, dict):
+            raise ParseError("certificate code_id must be a string and tower an object")
+        return cls(
+            BoundParams(pd["kind"], **fields), grid, _integer(data["bound"], "bound"),
+            code_id, tower,
+        )
+
+
+def _object(value, keys, what):
+    if not isinstance(value, dict):
+        raise ParseError(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in value:
+            raise ParseError(f"{what} lacks {key!r}")
+    return value
+
+
+def _integer(value, what):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"certificate field {what!r} takes integers, got {value!r}")
+    return value
+
+
+def _list(value, what, length=None):
+    if not isinstance(value, list) or length not in (None, len(value)):
+        raise ParseError(f"certificate {what} must be a list, got {value!r}")
+    return value
 
 
 def _require_square(t: FieldTower):
@@ -278,14 +327,15 @@ def best_bound_search(D: DefiningSetView, limits: SearchLimits = SearchLimits(),
             for delta in range(2, dmax + 1):
                 base = [(step * i) % n for i in range(delta - 1)]
                 base_res = {e % lc for e in base}
+                # base(delta + 1) extends base(delta): once it fails, it
+                # fails for every larger delta
                 if not all(memb[e] for e in base) or len(base_res) != delta - 1:
-                    continue
+                    break
+                # ascending, and starts with 0 since the base is all members
                 good = [
                     k for k in range(n)
                     if all(memb[(e + k) % n] for e in base)
                 ]
-                if 0 not in good:
-                    continue
 
                 # ht: extend by columns k = s*t2 while fresh and member
                 for t2 in range(1, n):
@@ -306,25 +356,33 @@ def best_bound_search(D: DefiningSetView, limits: SearchLimits = SearchLimits(),
                             BoundParams("ht", b, delta, r=r, t1=step, t2=t2),
                         )
 
-                # roos: all offset subsets {0} | S of good offsets, with the
-                # window constraint and pairwise-fresh pair residues
-                pos = [k for k in good if k != 0]
-                for mask in range(1 << len(pos)):
-                    ks = [0] + [pos[i] for i in range(len(pos)) if mask >> i & 1]
-                    r = len(ks) - 1
-                    if r < 1 or r > rmax:
-                        continue
-                    if ks[-1] - ks[0] > delta + r - 2:
-                        continue
-                    res = {
-                        (e + k) % lc for e in base for k in ks
-                    }
-                    if len(res) != (delta - 1) * (r + 1):
-                        continue
-                    consider(
-                        delta + r, 2,
-                        BoundParams("roos", b, delta, r=r, s=step, ks=tuple(ks)),
-                    )
+                # roos: every offset set {0} | S, S a nonempty subset of the
+                # good offsets, with r <= rmax, the window k_r <= delta + r - 2
+                # and pairwise-fresh pair residues.  Each condition holds for
+                # a set exactly when it holds for every prefix, so the sets
+                # grow depth-first in increasing order: a failed window ends
+                # the level (later offsets are larger), a residue collision
+                # skips one offset.
+                pos = good[1:]
+                fresh = [{(e + k) % lc for e in base} for k in pos]
+
+                def grow(ks, seen, start):
+                    r = len(ks)  # r of ks plus one more offset
+                    if r > rmax:
+                        return
+                    for i in range(start, len(pos)):
+                        if pos[i] > delta + r - 2:
+                            break
+                        if seen & fresh[i]:
+                            continue
+                        ks_i = ks + (pos[i],)
+                        consider(
+                            delta + r, 2,
+                            BoundParams("roos", b, delta, r=r, s=step, ks=ks_i),
+                        )
+                        grow(ks_i, seen | fresh[i], i + 1)
+
+                grow((0,), base_res, 0)
 
     params = best[3]
     return CHECKERS[params.kind](D, params, code_id)

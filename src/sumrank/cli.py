@@ -31,7 +31,7 @@ from .codes import (
     is_cyclic_skew_cyclic,
     min_distance_bruteforce,
 )
-from .errors import BudgetExceeded, ParseError, SumrankError, UnreadableInput
+from .errors import BudgetExceeded, ParseError, SumrankError, TowerMismatch, UnreadableInput
 from .product import factor_distances, product_code_from_polys, product_generator_poly
 from .skew import SkewPoly, parse_coeff, parse_poly, parse_terms
 from .tower import FieldTower, build_tower
@@ -210,7 +210,10 @@ def _params_from_args(args) -> BoundParams:
         return BoundParams("bch", args.b, args.delta, t=args.t)
     if args.kind == "ht":
         return BoundParams("ht", args.b, args.delta, r=args.r, t1=args.t1, t2=args.t2)
-    ks = tuple(int(x) for x in re.split(r"[,\s]+", args.k.strip()))
+    try:
+        ks = tuple(int(x) for x in re.split(r"[,\s]+", args.k.strip()))
+    except ValueError:
+        raise ParseError(f"--k takes comma-separated integers, got {args.k!r}")
     return BoundParams("roos", args.b, args.delta, r=len(ks) - 1, s=args.s, ks=ks)
 
 
@@ -264,41 +267,26 @@ def cmd_product(args) -> int:
     return 0
 
 
-def _load_certificate(path: str):
-    """The claimed (params, bound, grid, code_id) of a certificate JSON file."""
+def _load_certificate(path: str) -> BoundCertificate:
     try:
         data = json.loads(_read(path, "certificate"))
-        pd = data["params"]
-        params = BoundParams(
-            pd["kind"],
-            pd["b"],
-            pd["delta"],
-            t=pd.get("t"),
-            r=pd.get("r", 0),
-            t1=pd.get("t1"),
-            t2=pd.get("t2"),
-            s=pd.get("s"),
-            ks=tuple(pd["ks"]) if "ks" in pd else None,
-        )
-        if params.kind not in CHECKERS:
-            raise ParseError(f"unknown certificate kind {params.kind!r}")
-        return params, data["bound"], data["grid"], data.get("code_id")
-    except KeyError as exc:
-        raise ParseError(f"certificate lacks {exc}")
-    except (ValueError, TypeError, AttributeError) as exc:
+    except ValueError as exc:
         raise ParseError(f"malformed certificate: {exc}")
+    return BoundCertificate.from_dict(data)
 
 
 def cmd_verify(args) -> int:
-    params, bound, grid, code_id = _load_certificate(args.certificate)
+    claim = _load_certificate(args.certificate)
     spec = load_code_spec(args.code)
-    if code_id and code_id != spec.code.code_id():
+    if claim.code_id and claim.code_id != spec.code.code_id():
         raise SumrankError("certificate code_id does not match the code")
+    if claim.tower and claim.tower != json.loads(json.dumps(spec.tower.describe())):
+        raise TowerMismatch("certificate tower does not match the code's tower")
     D = spec.defining_view()
-    cert = CHECKERS[params.kind](D, params, spec.code.code_id())
-    if cert.bound != bound:
-        raise SumrankError(f"recomputed bound {cert.bound} != certificate bound {bound}")
-    if [list(p) for p in cert.grid] != [list(p) for p in grid]:
+    cert = CHECKERS[claim.params.kind](D, claim.params, spec.code.code_id())
+    if cert.bound != claim.bound:
+        raise SumrankError(f"recomputed bound {cert.bound} != certificate bound {claim.bound}")
+    if cert.grid != claim.grid:
         raise SumrankError("recomputed grid differs from the certificate grid")
     _report(args, {"verified": True, "certificate": cert.as_dict()})
     return 0

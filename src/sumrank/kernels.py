@@ -20,6 +20,28 @@ TABLE_CAP = 4096  # largest |F|^b memoized as a block-rank table
 ORDER_CAP = 4096  # largest |F| with dense add/mul tables
 
 
+def _arithmetic(gf):
+    """(mul, add, neg, inv) tables of gf, with inv[0] = 0.
+
+    Products and inverses are gathered from the log/antilog tables.  Sums and
+    negatives act digit by digit on the base-p digits, so the tables over
+    p^(j+1) elements are built from those over p^j by prepending a digit.
+    """
+    p = gf.p
+    log, exp = np.array(gf.log, np.int32), np.array(gf.exp, np.int32)
+    mul = np.concatenate((exp, exp))[log[:, None] + log[None, :]]
+    mul[0, :] = mul[:, 0] = 0
+    inv = exp[-log % len(exp)]
+    inv[0] = 0
+    digit = np.arange(p, dtype=np.int32)
+    add1, neg1 = (digit[:, None] + digit[None, :]) % p, -digit % p
+    add, neg = np.zeros((1, 1), np.int32), np.zeros(1, np.int32)
+    for j in range(gf.deg):
+        add = (add1[:, None, :, None] * p**j + add[None, :, None, :]).reshape(p ** (j + 1), -1)
+        neg = (neg1[:, None] * p**j + neg[None, :]).reshape(-1)
+    return mul, add, neg, inv
+
+
 class FieldTables:
     """Dense lookup tables for one (field, subfield) pair."""
 
@@ -30,14 +52,11 @@ class FieldTables:
             raise FieldTooLarge(
                 f"enumeration tables capped at order {ORDER_CAP}, got {big.order}"
             )
-        q, qs = big.order, small.order
         i16 = np.int16  # entries are below ORDER_CAP; narrow chunks keep peak RSS low
-        self.mulF = np.array([[big.mul(a, b) for b in range(q)] for a in range(q)], i16)
-        self.addF = np.array([[big.add(a, b) for b in range(q)] for a in range(q)], i16)
-        self.coord = np.array([tower.coords(level, sub, a) for a in range(q)], i16)
-        self.mulS = np.array([[small.mul(a, b) for b in range(qs)] for a in range(qs)], i16)
-        self.subS = np.array([[small.sub(a, b) for b in range(qs)] for a in range(qs)], i16)
-        self.invS = np.array([small.inv(a) if a else 0 for a in range(qs)], i16)
+        self.mulF, self.addF, _, _ = (x.astype(i16) for x in _arithmetic(big))
+        self.mulS, addS, negS, self.invS = (x.astype(i16) for x in _arithmetic(small))
+        self.subS = addS[:, negS]
+        self.coord = np.array([tower.coords(level, sub, a) for a in range(big.order)], i16)
         self.rank_tables = {}  # block size b -> ranks of all |F|^b blocks
 
     def ranks(self, blocks):

@@ -76,20 +76,19 @@ def xl_minus_one(ell: int, gf: GF):
 def monic_divisors(ell: int, gf: GF):
     """All monic divisors of x^ell - 1 over gf, by exhaustive scan.
 
-    Feasible at desk scale only (|gf|^ell candidates).
+    Only degrees up to ell // 2 are scanned (about |gf|^(ell/2) candidates);
+    every other divisor is the cofactor of a scanned one.  The result is
+    sorted by degree, then by the lower coefficients read as base-|gf|
+    digits, low first: the order of a scan over all degrees.
     """
     target = xl_minus_one(ell, gf)
-    out = []
-    for d in range(ell + 1):
-        for enc in range(gf.order**d):
-            coeffs = []
-            v = enc
-            for _ in range(d):
-                coeffs.append(v % gf.order)
-                v //= gf.order
-            coeffs.append(1)
-            cand = trim(coeffs)
+    q = gf.order
+    found = set()
+    for d in range(ell // 2 + 1):
+        for enc in range(q**d):
+            cand = tuple(enc // q**i % q for i in range(d)) + (1,)
             if divides(cand, target, gf):
-                out.append(cand)
-    return out
+                found.add(cand)
+                found.add(divmod_poly(target, cand, gf)[0])
+    return sorted(found, key=lambda c: (len(c), sum(v * q**i for i, v in enumerate(c[:-1]))))
 

@@ -1,6 +1,8 @@
 """Defining sets, the three bound checkers, the search, and the rank oracles."""
 
+import json
 import random
+import sys
 from math import gcd
 
 import pytest
@@ -12,11 +14,16 @@ from sumrank import (
     min_distance_bruteforce,
     primitive_ell_root,
 )
+from sumrank import bounds
 from sumrank.bivar import BivarPoly, biv_mul
 from sumrank.bounds import (
+    CHECKERS,
+    BoundCertificate,
     BoundParams,
     DefiningSetView,
     SearchLimits,
+    _require_square,
+    _units,
     bch_check,
     best_bound_search,
     ht_check,
@@ -28,12 +35,19 @@ from sumrank.errors import (
     GridNotContained,
     NotNormal,
     NotPrimitive,
+    ParseError,
     PreconditionViolated,
     SelectionTooSmall,
     ZeroCode,
 )
 from sumrank import linalg
-from sumrank.product import product_generator_poly
+from sumrank.product import (
+    corpus_f1,
+    corpus_f2,
+    factor_distances,
+    product_code_from_polys,
+    product_generator_poly,
+)
 from sumrank.skew import SkewPoly
 
 
@@ -122,6 +136,35 @@ class TestCheckers:
         assert h.bound == r.bound
         assert sorted(h.grid) == sorted(r.grid)
 
+    def test_certificate_dict_round_trip(self, example):
+        _, _, C, D = example
+        for p in (
+            BoundParams("bch", 1, 3, t=1),
+            BoundParams("ht", 1, 2, r=1, t1=1, t2=1),
+            BoundParams("roos", 1, 2, r=1, s=1, ks=(0, 1)),
+        ):
+            cert = CHECKERS[p.kind](D, p, C.code_id())
+            assert BoundCertificate.from_dict(json.loads(cert.to_json())) == cert
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d.pop("grid"),
+            lambda d: d["params"].pop("delta"),
+            lambda d: d["params"].update(kind="gv"),
+            lambda d: d["params"].update(t=True),
+            lambda d: d["params"].update(delta=3.0),
+            lambda d: d.update(grid=[[1, 0, 0]]),
+            lambda d: d.update(bound="3"),
+        ],
+    )
+    def test_certificate_dict_rejected(self, example, edit):
+        _, _, C, D = example
+        data = bch_check(D, BoundParams("bch", 1, 3, t=1), C.code_id()).as_dict()
+        edit(data)
+        with pytest.raises(ParseError):
+            BoundCertificate.from_dict(data)
+
 
 class TestSearch:
     def test_search_on_example_is_tight(self, example):
@@ -157,6 +200,197 @@ class TestSearch:
                 continue
             cert = best_bound_search(DefiningSetView.from_generator(t, g))
             assert cert.bound <= min_distance_bruteforce(C)
+
+
+def reference_search(D, limits=SearchLimits(), code_id=""):
+    """The exhaustive search: every Roos offset subset by a mask loop."""
+    t = D.tower
+    _require_square(t)
+    if D.generator is not None and D.generator.is_zero():
+        raise ZeroCode("the zero code has no meaningful bound certificate")
+    n = t.n
+    dmax = n if limits.delta_max is None else limits.delta_max
+    rmax = n if limits.r_max is None else limits.r_max
+    units = _units(n)
+    best = None  # (bound, kind_idx, param_sort_key, BoundParams)
+
+    def consider(bound, kind_idx, params):
+        nonlocal best
+        if best is None or bound > best[0] or (
+            bound == best[0] and (kind_idx, params_sort_key(params)) < (best[1], best[2])
+        ):
+            best = (bound, kind_idx, params_sort_key(params), params)
+
+    def params_sort_key(p: BoundParams):
+        return (
+            p.b,
+            p.delta,
+            p.t if p.t is not None else -1,
+            p.t1 if p.t1 is not None else -1,
+            p.t2 if p.t2 is not None else -1,
+            p.s if p.s is not None else -1,
+            p.ks if p.ks is not None else (),
+        )
+
+    # Everything below tracks pairs through the exponent e: with the grid
+    # pair at ((b + e) mod ell, e mod m), two exponents hit the same pair
+    # exactly when they agree modulo lcm(ell, m).  Membership and pairwise
+    # distinctness are therefore lookups on e mod n and e mod lcm.
+    lc = (t.ell * t.m) // gcd(t.ell, t.m)
+
+    consider(1, 0, BoundParams("bch", 0, 1, t=1))
+    for b in range(n):
+        memb = [D.grid_member(b + e, e) for e in range(n)]
+
+        # bch: grow the progression while new pairs are members and fresh
+        for step in units:
+            seen = set()
+            delta = 1
+            while delta - 1 <= dmax - 2:
+                e = ((delta - 1) * step) % n
+                if not memb[e] or e % lc in seen:
+                    break
+                seen.add(e % lc)
+                delta += 1
+            if delta >= 2:
+                consider(delta, 0, BoundParams("bch", b, delta, t=step))
+
+        for step in units:
+            for delta in range(2, dmax + 1):
+                base = [(step * i) % n for i in range(delta - 1)]
+                base_res = {e % lc for e in base}
+                if not all(memb[e] for e in base) or len(base_res) != delta - 1:
+                    continue
+                good = [
+                    k for k in range(n)
+                    if all(memb[(e + k) % n] for e in base)
+                ]
+                if 0 not in good:
+                    continue
+
+                # ht: extend by columns k = s*t2 while fresh and member
+                for t2 in range(1, n):
+                    if gcd(n, t2) >= delta:
+                        continue
+                    seen = set(base_res)
+                    r = 0
+                    while r + 1 <= rmax:
+                        k = ((r + 1) * t2) % n
+                        new = {(e + k) % lc for e in base}
+                        if k not in good or len(new) != delta - 1 or (seen & new):
+                            break
+                        seen |= new
+                        r += 1
+                    if r >= 1:
+                        consider(
+                            delta + r, 1,
+                            BoundParams("ht", b, delta, r=r, t1=step, t2=t2),
+                        )
+
+                # roos: all offset subsets {0} | S of good offsets, with the
+                # window constraint and pairwise-fresh pair residues
+                pos = [k for k in good if k != 0]
+                for mask in range(1 << len(pos)):
+                    ks = [0] + [pos[i] for i in range(len(pos)) if mask >> i & 1]
+                    r = len(ks) - 1
+                    if r < 1 or r > rmax:
+                        continue
+                    if ks[-1] - ks[0] > delta + r - 2:
+                        continue
+                    res = {
+                        (e + k) % lc for e in base for k in ks
+                    }
+                    if len(res) != (delta - 1) * (r + 1):
+                        continue
+                    consider(
+                        delta + r, 2,
+                        BoundParams("roos", b, delta, r=r, s=step, ks=tuple(ks)),
+                    )
+
+    params = best[3]
+    return CHECKERS[params.kind](D, params, code_id)
+
+
+def random_view(t, rng):
+    """A defining-set view whose ell x m membership table is random."""
+    a = primitive_ell_root(t).in_level("L").val
+    beta = find_normal_element(t).in_level("L").val
+    density = rng.choice((0.3, 0.6, 0.8, 0.95))
+    table = {
+        (t.L.pow(a, i), t.sigma(beta, j)): rng.random() < density
+        for i in range(t.ell)
+        for j in range(t.m)
+    }
+    return DefiningSetView.from_predicate(t, lambda av, bv: table[(av, bv)])
+
+
+def considered(search, D, limits, monkeypatch):
+    """The certificate `search` returns and every candidate it considered."""
+    real, made = BoundParams, set()
+
+    def record(*args, **kwargs):
+        p = real(*args, **kwargs)
+        made.add(p)
+        return p
+
+    with monkeypatch.context() as mp:
+        mp.setattr(bounds, "BoundParams", record)
+        mp.setattr(sys.modules[__name__], "BoundParams", record)
+        cert = search(D, limits)
+    return (cert.params, cert.grid, cert.bound), made
+
+
+def same_candidates(D, monkeypatch, limits=SearchLimits()):
+    got, got_made = considered(best_bound_search, D, limits, monkeypatch)
+    want, want_made = considered(reference_search, D, limits, monkeypatch)
+    assert got == want
+    assert got_made == want_made
+
+
+class TestSearchMatchesReference:
+    """The depth-first Roos search considers the candidates of the mask loop."""
+
+    def test_product_codes_tower9(self, tower9, corpus, monkeypatch):
+        f1s, f2s = corpus
+        for f1 in f1s:
+            for f2 in f2s:
+                g = product_generator_poly(tower9, f1, f2)
+                if not g.is_zero():
+                    same_candidates(DefiningSetView.from_generator(tower9, g), monkeypatch)
+
+    def test_product_codes_odd5(self, monkeypatch):
+        t = build_tower(5, 1, 2, 1, 4, 2)  # gcd(ell, m) = 2
+        for f1 in corpus_f1(t):
+            for f2 in corpus_f2(t):
+                g = product_generator_poly(t, f1, f2)
+                if not g.is_zero():
+                    same_candidates(DefiningSetView.from_generator(t, g), monkeypatch)
+
+    # on (7,1,2,1,3,2), lcm(ell, m) = 6 leaves room for two nonzero Roos
+    # offsets whose pair residues collide with each other but not the base
+    @pytest.mark.parametrize(
+        "spec", [(2, 1, 3, 2, 3, 3), (5, 1, 2, 1, 4, 2), (3, 1, 2, 1, 2, 2), (7, 1, 2, 1, 3, 2)]
+    )
+    def test_random_tables_and_limits(self, spec, monkeypatch):
+        t = build_tower(*spec)
+        rng = random.Random(sum(spec))
+        caps = [None] + list(range(t.n + 1))
+        for _ in range(20):
+            limits = SearchLimits(rng.choice(caps), rng.choice(caps))
+            same_candidates(random_view(t, rng), monkeypatch, limits)
+
+    def test_dense_n28_code(self):
+        # 19 grid pairs: too slow for the mask loop, which tries 2^|offsets|
+        # subsets per (b, step, delta)
+        t = build_tower(2, 1, 4, 3, 7, 4)
+        f1, f2 = (1, 1, 1, 0, 1), SkewPoly(t, "F", (9, 13, 1))
+        D = DefiningSetView.from_generator(t, product_generator_poly(t, f1, f2))
+        assert sum(map(sum, D.grid_table())) == 19
+        cert = best_bound_search(D)
+        again = CHECKERS[cert.params.kind](D, cert.params)
+        assert (again.grid, again.bound) == (cert.grid, cert.bound)
+        dH, dR = factor_distances(product_code_from_polys(t, f1, f2))
+        assert cert.bound <= dH * dR
 
 
 class TestLrsMatrix:

@@ -209,17 +209,40 @@ class TestErrorContract:
         argv = ("verify", "--certificate", missing, "--code", gen_spec_file)
         assert self.error(capsys, *argv) == "UnreadableInput"
 
-    @pytest.mark.parametrize("key", ["params", "bound", "grid"])
-    def test_certificate_lacking_key(self, capsys, gen_spec_file, tmp_path, key):
+    def verify_edited(self, capsys, spec_file, tmp_path, edit):
+        """The error of `verify` on a valid certificate changed by `edit`."""
         _, out, _ = run(
-            capsys, "certify", "bch", "--code", gen_spec_file,
+            capsys, "certify", "bch", "--code", spec_file,
             "--b", "1", "--t", "1", "--delta", "3",
         )
         cert = json.loads(out)["certificate"]
-        del cert[key]
+        edit(cert)
         path = tmp_path / "cert.json"
         path.write_text(json.dumps(cert))
-        argv = ("verify", "--certificate", str(path), "--code", gen_spec_file)
+        return self.error(capsys, "verify", "--certificate", str(path), "--code", spec_file)
+
+    @pytest.mark.parametrize("key", ["params", "bound", "grid"])
+    def test_certificate_lacking_key(self, capsys, gen_spec_file, tmp_path, key):
+        def drop(cert):
+            del cert[key]
+
+        assert self.verify_edited(capsys, gen_spec_file, tmp_path, drop) == "ParseError"
+
+    def test_certificate_non_integer_param(self, capsys, gen_spec_file, tmp_path):
+        def spoil(cert):
+            cert["params"]["b"] = "x"
+
+        assert self.verify_edited(capsys, gen_spec_file, tmp_path, spoil) == "ParseError"
+
+    def test_certificate_of_another_tower(self, capsys, gen_spec_file, tmp_path):
+        def retower(cert):
+            cert["tower"]["h"] = 5
+
+        assert self.verify_edited(capsys, gen_spec_file, tmp_path, retower) == "TowerMismatch"
+
+    def test_roos_offsets_not_integers(self, capsys, gen_spec_file):
+        argv = ("certify", "roos", "--code", gen_spec_file, "--b", "1", "--s", "1",
+                "--delta", "2", "--k", "a")
         assert self.error(capsys, *argv) == "ParseError"
 
     def test_tower_zero_degree(self, capsys):

@@ -168,6 +168,24 @@ class TestKernelAgreement:
         monkeypatch.setattr(kernels, "TABLE_CAP", 0)
         assert min_weight(C.G, FieldTables(tower9), C.partition.parts) == d
 
+    @pytest.mark.parametrize(
+        "spec",
+        [(2, 1, 3, 2, 3, 3), (5, 1, 2, 1, 4, 2), (7, 1, 2, 1, 6, 2), (2, 2, 2, 1, 3, 2)],
+        ids=["F8", "F25", "F49", "F16-over-F4"],
+    )
+    def test_tables_match_field_arithmetic(self, spec):
+        t = build_tower(*spec)
+        T = FieldTables(t)
+
+        def entrywise(gf, op):
+            return [[op(a, b) for b in range(gf.order)] for a in range(gf.order)]
+
+        assert T.mulF.tolist() == entrywise(t.F, t.F.mul)
+        assert T.addF.tolist() == entrywise(t.F, t.F.add)
+        assert T.mulS.tolist() == entrywise(t.E, t.E.mul)
+        assert T.subS.tolist() == entrywise(t.E, t.E.sub)
+        assert T.invS.tolist() == [t.E.inv(a) if a else 0 for a in range(t.E.order)]
+
     def test_table_order_cap(self, tower9, monkeypatch):
         monkeypatch.setattr(kernels, "ORDER_CAP", 4)
         with pytest.raises(FieldTooLarge):

@@ -20,6 +20,8 @@ from sumrank.errors import (
     NotADivisor,
     PreconditionViolated,
 )
+from sumrank.gf import field
+from sumrank.poly import divides, monic_divisors, trim, xl_minus_one
 from sumrank.product import (
     ProductCode,
     cyclic_code_from_poly,
@@ -33,6 +35,35 @@ from sumrank.product import (
     tensor_vector,
 )
 from sumrank.skew import SkewPoly
+
+
+def scan_divisors(ell, gf):
+    """Every monic divisor of x^ell - 1, by a scan over all degrees."""
+    target = xl_minus_one(ell, gf)
+    out = []
+    for d in range(ell + 1):
+        for enc in range(gf.order**d):
+            coeffs = []
+            v = enc
+            for _ in range(d):
+                coeffs.append(v % gf.order)
+                v //= gf.order
+            coeffs.append(1)
+            cand = trim(coeffs)
+            if divides(cand, target, gf):
+                out.append(cand)
+    return out
+
+
+class TestDivisors:
+    @pytest.mark.parametrize(
+        "p, deg, ell",
+        [(2, 1, 1), (2, 1, 3), (2, 1, 6), (2, 1, 7), (2, 1, 9), (2, 2, 3), (2, 2, 5),
+         (3, 1, 2), (3, 1, 4), (3, 1, 5), (3, 2, 4), (5, 1, 4), (7, 1, 3)],
+    )
+    def test_half_scan_matches_full_scan(self, p, deg, ell):
+        gf = field(p, deg)
+        assert monic_divisors(ell, gf) == scan_divisors(ell, gf)
 
 
 class TestTensorVector:
