@@ -93,9 +93,6 @@ class BivarPoly:
                     terms.append("*".join([str(c)] + mono))
         return " + ".join(terms) if terms else "0"
 
-    def to_lists(self):
-        return [list(r) for r in self.coeffs]
-
     @staticmethod
     def zero(tower, level="F"):
         return BivarPoly(

@@ -66,54 +66,40 @@ class GF:
         self.p = p
         self.deg = deg
         self.order = order
-        self.modulus = self._find_primitive_modulus()
         self._build_tables()
 
-    # modulus encoded as digit list c_0..c_deg with c_deg = 1
-    def _find_primitive_modulus(self):
+    def _build_tables(self):
+        """Find the modulus and fill exp/log in one walk per candidate.
+
+        Each candidate x^deg + c_(deg-1) x^(deg-1) + ... + c_0 (the c_i are
+        the base-p digits of r) is walked by "multiply by x" until x^k = 1;
+        the first one with k = order - 1 is primitive, and its walk is `exp`.
+        """
         p, deg, order = self.p, self.deg, self.order
         for r in range(order):
-            mod = _digits(r, p, deg) + [1]
-            if self._x_order(mod) == order - 1:
-                return mod
-        raise AssertionError("no primitive polynomial found")
-
-    def _x_order(self, mod) -> int:
-        """Multiplicative order of x modulo `mod`, or 0 if x is not a unit."""
-        p, deg, order = self.p, self.deg, self.order
-        val = [0] * deg
-        val[0] = 1
-        for step in range(1, order):
-            # multiply by x, reduce by mod
-            lead = val[deg - 1]
-            val = [0] + val[: deg - 1]
-            if lead:
-                for i in range(deg):
-                    val[i] = (val[i] - lead * mod[i]) % p
-            if all(v == 0 for v in val):
-                return 0
-            if val[0] == 1 and all(v == 0 for v in val[1:]):
-                return step
-        return 0
-
-    def _build_tables(self):
-        p, deg, order = self.p, self.deg, self.order
-        mod = self.modulus
-        exp = [0] * max(order - 1, 1)
-        log = [0] * order
-        val = [0] * deg
-        val[0] = 1
-        for i in range(order - 1):
-            enc = _undigits(val, p)
-            exp[i] = enc
-            log[enc] = i
-            lead = val[deg - 1]
-            val = [0] + val[: deg - 1]
-            if lead:
-                for j in range(deg):
-                    val[j] = (val[j] - lead * mod[j]) % p
+            if r % p == 0:
+                continue  # c_0 = 0: x is not a unit
+            mod = _digits(r, p, deg)
+            val = [1] + [0] * (deg - 1)
+            exp = [1]
+            while True:
+                lead = val[deg - 1]
+                val = [0] + val[: deg - 1]
+                if lead:
+                    val = [(v - lead * c) % p for v, c in zip(val, mod)]
+                enc = _undigits(val, p)
+                if enc == 1:
+                    break
+                exp.append(enc)
+            if len(exp) == order - 1:
+                break
+        else:
+            raise AssertionError("no primitive polynomial found")
+        self.modulus = mod + [1]
         self.exp = exp
-        self.log = log
+        self.log = [0] * order
+        for i, enc in enumerate(exp):
+            self.log[enc] = i
         self.gen = exp[1] if order > 2 else 1
 
     # -- arithmetic ---------------------------------------------------------
@@ -176,10 +162,6 @@ class GF:
             acc = self.add(self.mul(acc, a), c)
         return acc
 
-    def roots(self, coeffs) -> list[int]:
-        """All roots of the polynomial in this field, ascending encoding."""
-        return [a for a in range(self.order) if self.poly_eval(coeffs, a) == 0]
-
     def modulus_int(self) -> int:
         return _undigits(self.modulus, self.p)
 
@@ -199,21 +181,15 @@ def find_embedding(small: GF, big: GF) -> int:
     """Image of small.gen under the canonical embedding small -> big.
 
     The image is the smallest (by integer encoding) root in `big` of the
-    modulus of `small`, so the embedding is deterministic.
+    modulus of `small`, so the embedding is deterministic.  Every root lies
+    in the copy of `small` inside `big`, whose units are the powers of
+    big.gen with exponent divisible by (|big| - 1) / (|small| - 1).
     """
     if small.order == big.order:
         return big.gen if small.order > 2 else 1
     coeffs = [c % big.p for c in small.modulus]
-    for a in range(big.order):
-        if big.poly_eval(coeffs, a) == 0:
-            return a
-    raise AssertionError(f"{small} does not embed in {big}")
-
-
-def embed_elem(small: GF, big: GF, image_of_gen: int, a: int) -> int:
-    """Map an element of `small` into `big` along the chosen embedding."""
-    digs = small.elem_digits(a)
-    acc = 0
-    for d in reversed(digs):
-        acc = big.add(big.mul(acc, image_of_gen), d)
-    return acc
+    step = (big.order - 1) // (small.order - 1)
+    roots = [a for a in big.exp[::step] if big.poly_eval(coeffs, a) == 0]
+    if not roots:
+        raise AssertionError(f"{small} does not embed in {big}")
+    return min(roots)

@@ -56,26 +56,3 @@ def reduce_against(vec, rref_rows, pivots, gf: GF):
 def in_span(vec, rref_rows, pivots, gf: GF) -> bool:
     return all(x == 0 for x in reduce_against(vec, rref_rows, pivots, gf))
 
-
-def matinv_mod_p(M, p: int):
-    """Inverse of a square matrix over GF(p) (plain Gaussian elimination)."""
-    n = len(M)
-    A = [list(M[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    row = 0
-    for col in range(n):
-        piv = -1
-        for r in range(row, n):
-            if A[r][col] % p != 0:
-                piv = r
-                break
-        if piv < 0:
-            raise ValueError("matrix is singular mod p")
-        A[row], A[piv] = A[piv], A[row]
-        lead = pow(A[row][col], -1, p)
-        A[row] = [(v * lead) % p for v in A[row]]
-        for r in range(n):
-            if r != row and A[r][col] % p != 0:
-                f = A[r][col]
-                A[r] = [(A[r][j] - f * A[row][j]) % p for j in range(2 * n)]
-        row += 1
-    return [r[n:] for r in A]

@@ -101,10 +101,6 @@ class SkewPoly:
         return to_string(self, "z")
 
     @staticmethod
-    def from_coeffs(tower, level, coeffs):
-        return SkewPoly(tower, level, tuple(coeffs))
-
-    @staticmethod
     def zero(tower, level="F"):
         return SkewPoly(tower, level, ())
 

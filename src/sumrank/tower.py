@@ -21,7 +21,7 @@ from .errors import (
     NotPrime,
     RootsOfUnityAbsent,
 )
-from .gf import GF, embed_elem, field, find_embedding, is_prime
+from .gf import GF, _undigits, field, find_embedding, is_prime
 
 _LEVEL_RANK = {"E": 0, "F": 1, "K": 1, "L": 2}
 
@@ -41,23 +41,20 @@ class FieldTower:
         self.F = field(p, e_deg * m)
         self.K = field(p, e_deg * h)
         self.L = field(p, e_deg * m * h)
-        # generator images of the canonical subfield embeddings
-        self.e_in_f = find_embedding(self.E, self.F)
-        self.e_in_k = find_embedding(self.E, self.K)
-        self.f_in_l = find_embedding(self.F, self.L)
-        self.k_in_l = find_embedding(self.K, self.L)
+        self._fields = {"E": self.E, "F": self.F, "K": self.K, "L": self.L}
+        # generator images of the canonical subfield embeddings, by route
+        self._images = {
+            (sub, big): find_embedding(self.gf(sub), self.gf(big))
+            for sub, big in (("E", "F"), ("E", "K"), ("F", "L"), ("K", "L"))
+        }
         # E -> L is routed through F so that theta and sigma agree on F's copy
-        self.e_in_l = self._embed_gen_via_f()
+        self._images["E", "L"] = self.lift(self._images["E", "F"], "F", "L")
         self._coord_tables = {}
-
-    def _embed_gen_via_f(self):
-        imgF = embed_elem(self.E, self.F, self.e_in_f, self.E.gen)
-        return embed_elem(self.F, self.L, self.f_in_l, imgF)
 
     # -- levels and lifting --------------------------------------------------
 
     def gf(self, level: str) -> GF:
-        return {"E": self.E, "F": self.F, "K": self.K, "L": self.L}[level]
+        return self._fields[level]
 
     def join(self, a: str, b: str) -> str:
         if a == b:
@@ -69,21 +66,15 @@ class FieldTower:
         return "L"
 
     def lift(self, val: int, frm: str, to: str) -> int:
-        """Move an element up the tower along the canonical embeddings."""
+        """Move an element up the tower along the canonical embeddings, which
+        map gen^k to image^k."""
         if frm == to:
             return val
-        route = {
-            ("E", "F"): (self.E, self.F, self.e_in_f),
-            ("E", "K"): (self.E, self.K, self.e_in_k),
-            ("F", "L"): (self.F, self.L, self.f_in_l),
-            ("K", "L"): (self.K, self.L, self.k_in_l),
-        }
-        if (frm, to) in route:
-            small, big, img = route[(frm, to)]
-            return embed_elem(small, big, img, val)
-        if frm == "E" and to == "L":
-            return self.lift(self.lift(val, "E", "F"), "F", "L")
-        raise LevelMismatch(f"no embedding {frm} -> {to}")
+        if (frm, to) not in self._images:
+            raise LevelMismatch(f"no embedding {frm} -> {to}")
+        if val == 0:
+            return 0
+        return self.gf(to).pow(self._images[frm, to], self.gf(frm).log[val])
 
     # -- the automorphism ----------------------------------------------------
 
@@ -130,26 +121,19 @@ class FieldTower:
             return mapper
         img = self.lift(small.gen, sub, level)
         D = big.deg
-        cols = []
-        for i in range(mdim):
-            gpow = big.pow(big.gen, i) if big.order > 2 else (1 if i == 0 else 0)
-            for t in range(sdeg):
-                b = big.mul(big.pow(img, t), gpow)
-                cols.append(big.elem_digits(b))
-        M = [[cols[c][r] for c in range(D)] for r in range(D)]
-        Minv = linalg.matinv_mod_p(M, p)
+        cols = [
+            big.elem_digits(big.mul(big.pow(img, t), big.pow(big.gen, i)))
+            for i in range(mdim)
+            for t in range(sdeg)
+        ]
+        # [M | I] reduces to [I | M^-1]
+        MI = [[cols[c][r] for c in range(D)] + [int(c == r) for c in range(D)] for r in range(D)]
+        Minv = [row[D:] for row in linalg.rref(MI, field(p, 1))[0]]
 
-        def mapper(v, big=big, Minv=Minv, p=p, sdeg=sdeg, mdim=mdim):
+        def mapper(v):
             d = big.elem_digits(v)
-            sol = [sum(Minv[r][c] * d[c] for c in range(len(d))) % p for r in range(len(d))]
-            out = []
-            for i in range(mdim):
-                chunk = sol[i * sdeg : (i + 1) * sdeg]
-                acc = 0
-                for dig in reversed(chunk):
-                    acc = acc * p + dig
-                out.append(acc)
-            return tuple(out)
+            sol = [sum(a * b for a, b in zip(row, d)) % p for row in Minv]
+            return tuple(_undigits(sol[i : i + sdeg], p) for i in range(0, D, sdeg))
 
         self._coord_tables[key] = mapper
         return mapper
@@ -244,7 +228,8 @@ class FieldElement:
         return a == b
 
     def __hash__(self):
-        return hash((self.level, self.val))
+        # equal elements of different levels share their image in L
+        return hash(self.tower.lift(self.val, self.level, "L"))
 
     def __bool__(self):
         return self.val != 0

@@ -10,7 +10,7 @@ from sumrank.errors import (
     NotPrime,
     RootsOfUnityAbsent,
 )
-from sumrank.gf import field, find_embedding
+from sumrank.gf import _digits, _undigits, field, find_embedding
 from sumrank.tower import FieldElement
 
 
@@ -151,3 +151,155 @@ class TestFieldElement:
         x = FieldElement(t, "L", 7)
         y = frobenius_power(t, x, 1)
         assert y.val == t.sigma(7)
+
+
+# -- the former field-layer algorithms, kept as oracles ----------------------
+
+
+class ScanGF:
+    """The former table build: each candidate modulus is tested with its own
+    walk of x (`_x_order`), then the winner is walked again to fill exp/log."""
+
+    def __init__(self, p, deg):
+        self.p, self.deg, self.order = p, deg, p**deg
+        self.modulus = self._find_primitive_modulus()
+        self._build_tables()
+
+    # modulus encoded as digit list c_0..c_deg with c_deg = 1
+    def _find_primitive_modulus(self):
+        p, deg, order = self.p, self.deg, self.order
+        for r in range(order):
+            mod = _digits(r, p, deg) + [1]
+            if self._x_order(mod) == order - 1:
+                return mod
+        raise AssertionError("no primitive polynomial found")
+
+    def _x_order(self, mod) -> int:
+        """Multiplicative order of x modulo `mod`, or 0 if x is not a unit."""
+        p, deg, order = self.p, self.deg, self.order
+        val = [0] * deg
+        val[0] = 1
+        for step in range(1, order):
+            # multiply by x, reduce by mod
+            lead = val[deg - 1]
+            val = [0] + val[: deg - 1]
+            if lead:
+                for i in range(deg):
+                    val[i] = (val[i] - lead * mod[i]) % p
+            if all(v == 0 for v in val):
+                return 0
+            if val[0] == 1 and all(v == 0 for v in val[1:]):
+                return step
+        return 0
+
+    def _build_tables(self):
+        p, deg, order = self.p, self.deg, self.order
+        mod = self.modulus
+        exp = [0] * max(order - 1, 1)
+        log = [0] * order
+        val = [0] * deg
+        val[0] = 1
+        for i in range(order - 1):
+            enc = _undigits(val, p)
+            exp[i] = enc
+            log[enc] = i
+            lead = val[deg - 1]
+            val = [0] + val[: deg - 1]
+            if lead:
+                for j in range(deg):
+                    val[j] = (val[j] - lead * mod[j]) % p
+        self.exp = exp
+        self.log = log
+        self.gen = exp[1] if order > 2 else 1
+
+
+def scan_find_embedding(small, big) -> int:
+    """The former `find_embedding`: scans all of `big` for a root."""
+    if small.order == big.order:
+        return big.gen if small.order > 2 else 1
+    coeffs = [c % big.p for c in small.modulus]
+    for a in range(big.order):
+        if big.poly_eval(coeffs, a) == 0:
+            return a
+    raise AssertionError(f"{small} does not embed in {big}")
+
+
+def embed_elem(small, big, image_of_gen: int, a: int) -> int:
+    """Map an element of `small` into `big` along the chosen embedding."""
+    digs = small.elem_digits(a)
+    acc = 0
+    for d in reversed(digs):
+        acc = big.add(big.mul(acc, image_of_gen), d)
+    return acc
+
+
+def horner_lift(t, val, frm, to):
+    """The former `FieldTower.lift`: Horner on the digits of `val`, with E -> L
+    routed through F."""
+    if (frm, to) == ("E", "L"):
+        return horner_lift(t, horner_lift(t, val, "E", "F"), "F", "L")
+    small, big = t.gf(frm), t.gf(to)
+    return embed_elem(small, big, scan_find_embedding(small, big), val)
+
+
+ROUTES = [("E", "F"), ("E", "K"), ("F", "L"), ("K", "L"), ("E", "L")]
+ORACLE_TOWERS = [
+    (2, 1, 3, 2, 3, 3),
+    (5, 1, 2, 1, 4, 2),
+    (2, 2, 2, 1, 3, 2),
+    (3, 2, 2, 1, 4, 2),
+    (2, 2, 3, 2, 3, 3),
+]
+# the oracle towers whose E is not the prime field
+E_EXTENSION_TOWERS = [s for s in ORACLE_TOWERS if s[1] > 1]
+
+
+@pytest.mark.parametrize(
+    "p,deg",
+    [(2, d) for d in range(1, 11)]
+    + [(3, d) for d in range(1, 7)]
+    + [(5, d) for d in range(1, 5)]
+    + [(7, d) for d in range(1, 4)]
+    + [(11, 2), (13, 2)],
+)
+def test_table_walk_matches_scan(p, deg):
+    new, old = field(p, deg), ScanGF(p, deg)
+    assert (new.modulus, new.exp, new.log, new.gen) == (old.modulus, old.exp, old.log, old.gen)
+
+
+@pytest.mark.parametrize("spec", ORACLE_TOWERS, ids=str)
+class TestTowerMatchesOracles:
+    def test_embedding_images_match_full_scan(self, spec):
+        t = build_tower(*spec)
+        for frm, to in ROUTES[:4]:
+            assert find_embedding(t.gf(frm), t.gf(to)) == scan_find_embedding(t.gf(frm), t.gf(to))
+
+    def test_power_lift_matches_horner(self, spec):
+        t = build_tower(*spec)
+        for frm, to in ROUTES:
+            for v in range(t.gf(frm).order):
+                assert t.lift(v, frm, to) == horner_lift(t, v, frm, to)
+
+    def test_routes_commute(self, spec):
+        t = build_tower(*spec)
+        for v in range(t.E.order):
+            assert t.lift(t.lift(v, "E", "K"), "K", "L") == t.lift(v, "E", "L")
+
+    def test_equal_elements_hash_equal(self, spec):
+        t = build_tower(*spec)
+        for frm, to in ROUTES:
+            for v in range(t.gf(frm).order):
+                a, b = FieldElement(t, frm, v), FieldElement(t, to, t.lift(v, frm, to))
+                assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+
+@pytest.mark.parametrize("spec", E_EXTENSION_TOWERS, ids=str)
+@pytest.mark.parametrize("level,sub", [("F", "E"), ("L", "K"), ("L", "E")])
+def test_coords_round_trip(spec, level, sub):
+    t = build_tower(*spec)
+    big = t.gf(level)
+    for v in range(big.order):
+        acc = 0
+        for i, c in enumerate(t.coords(level, sub, v)):
+            acc = big.add(acc, big.mul(t.lift(c, sub, level), big.pow(big.gen, i)))
+        assert acc == v
