@@ -177,9 +177,11 @@ def _list(value, what, length=None):
     return value
 
 
-def _require_square(t: FieldTower):
-    if t.N != t.m:
+def _require_checkable(D: DefiningSetView):
+    if D.tower.N != D.tower.m:
         raise PreconditionViolated("bound checkers require N = m")
+    if D.generator is not None and D.generator.is_zero():
+        raise ZeroCode("the zero code has no meaningful bound certificate")
 
 
 def _emit(D: DefiningSetView, p: BoundParams, pairs, bound, code_id="") -> BoundCertificate:
@@ -200,7 +202,7 @@ def _emit(D: DefiningSetView, p: BoundParams, pairs, bound, code_id="") -> Bound
 
 def bch_check(D: DefiningSetView, p: BoundParams, code_id="") -> BoundCertificate:
     t = D.tower
-    _require_square(t)
+    _require_checkable(D)
     if p.delta < 1:
         raise PreconditionViolated("delta >= 1")
     if p.t is None or gcd(t.n, p.t) != 1:
@@ -211,7 +213,7 @@ def bch_check(D: DefiningSetView, p: BoundParams, code_id="") -> BoundCertificat
 
 def roos_check(D: DefiningSetView, p: BoundParams, code_id="") -> BoundCertificate:
     t = D.tower
-    _require_square(t)
+    _require_checkable(D)
     ks = p.ks
     if p.s is None or gcd(t.n, p.s) != 1:
         raise PreconditionViolated("gcd(n, s) = 1")
@@ -235,7 +237,7 @@ def roos_check(D: DefiningSetView, p: BoundParams, code_id="") -> BoundCertifica
 
 def ht_check(D: DefiningSetView, p: BoundParams, code_id="") -> BoundCertificate:
     t = D.tower
-    _require_square(t)
+    _require_checkable(D)
     if p.t1 is None or gcd(t.n, p.t1) != 1:
         raise PreconditionViolated("gcd(n, t1) = 1")
     if p.t2 is None or gcd(t.n, p.t2) >= p.delta:
@@ -273,9 +275,7 @@ def best_bound_search(D: DefiningSetView, limits: SearchLimits = SearchLimits(),
     smallest parameter tuple.  Bound 1 (empty BCH grid) is always available.
     """
     t = D.tower
-    _require_square(t)
-    if D.generator is not None and D.generator.is_zero():
-        raise ZeroCode("the zero code has no meaningful bound certificate")
+    _require_checkable(D)
     n = t.n
     dmax = n if limits.delta_max is None else limits.delta_max
     rmax = n if limits.r_max is None else limits.r_max

@@ -31,7 +31,15 @@ from .codes import (
     is_cyclic_skew_cyclic,
     min_distance_bruteforce,
 )
-from .errors import BudgetExceeded, ParseError, SumrankError, TowerMismatch, UnreadableInput
+from .errors import (
+    BudgetExceeded,
+    ParseError,
+    PreconditionViolated,
+    SumrankError,
+    TowerMismatch,
+    UnreadableInput,
+    ZeroCode,
+)
 from .product import factor_distances, product_code_from_polys, product_generator_poly
 from .skew import SkewPoly, parse_coeff, parse_poly, parse_terms
 from .tower import FieldTower, build_tower
@@ -59,9 +67,18 @@ class CodeSpec:
         self.f2 = f2
 
     def defining_view(self) -> DefiningSetView:
-        if self.generator is not None:
-            return DefiningSetView.from_generator(self.tower, self.generator)
+        """The defining set the certificates read.  They bound the sum-rank
+        distance for ell blocks of size N only, so other partitions are
+        refused, as is a matrix code with no rows."""
         t = self.tower
+        if self.code.partition != Partition.equal(t.ell, t.N):
+            raise PreconditionViolated(
+                f"certificates need the partition into {t.ell} blocks of size {t.N}"
+            )
+        if self.generator is not None:
+            return DefiningSetView.from_generator(t, self.generator)
+        if self.code.k == 0:
+            raise ZeroCode("the zero code has no meaningful bound certificate")
         rows = [
             nu_map([t.lift(v, self.code.level, "L") for v in row], t, "L")
             for row in self.code.G

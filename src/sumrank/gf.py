@@ -47,6 +47,55 @@ def _undigits(digs, p: int) -> int:
     return val
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, by trial division up to sqrt(n)."""
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _square(a, mod, p: int) -> list[int]:
+    """a^2 modulo the monic x^d + sum(mod[i] x^i), on length-d digit lists."""
+    d = len(mod)
+    prod = [0] * (2 * d - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, aj in enumerate(a):
+                prod[i + j] += ai * aj
+    for k in range(2 * d - 2, d - 1, -1):
+        c = prod[k] % p
+        if c:
+            for i, mi in enumerate(mod):
+                prod[k - d + i] -= c * mi
+    return [c % p for c in prod[:d]]
+
+
+def _times_x(val, mod, p: int) -> list[int]:
+    """val * x modulo the monic x^d + sum(mod[i] x^i), on length-d digit lists."""
+    lead = val[-1]
+    val = [0] + val[:-1]
+    if lead:
+        val = [(v - lead * c) % p for v, c in zip(val, mod)]
+    return val
+
+
+def _xpow(e: int, mod, p: int) -> list[int]:
+    """x^e modulo the monic x^d + sum(mod[i] x^i), by square-and-multiply."""
+    out = [1] + [0] * (len(mod) - 1)
+    for bit in bin(e)[2:]:
+        out = _square(out, mod, p)
+        if bit == "1":
+            out = _times_x(out, mod, p)
+    return out
+
+
 class GF:
     """The field GF(p^deg) with a fixed primitive modulus.
 
@@ -69,32 +118,31 @@ class GF:
         self._build_tables()
 
     def _build_tables(self):
-        """Find the modulus and fill exp/log in one walk per candidate.
+        """Find the modulus by the order test, then fill exp/log in one walk.
 
-        Each candidate x^deg + c_(deg-1) x^(deg-1) + ... + c_0 (the c_i are
-        the base-p digits of r) is walked by "multiply by x" until x^k = 1;
-        the first one with k = order - 1 is primitive, and its walk is `exp`.
+        A candidate x^deg + c_(deg-1) x^(deg-1) + ... + c_0 (the c_i are the
+        base-p digits of r, c_0 != 0) is primitive exactly when x has order
+        order - 1 modulo it: x^(order-1) = 1 and x^((order-1)/s) != 1 for
+        every prime s | order - 1.  That also makes it irreducible.  Only the
+        winner is walked by "multiply by x", and its walk is `exp`.
         """
         p, deg, order = self.p, self.deg, self.order
+        one = [1] + [0] * (deg - 1)
+        cofactors = [(order - 1) // s for s in _prime_factors(order - 1)]
         for r in range(order):
             if r % p == 0:
                 continue  # c_0 = 0: x is not a unit
             mod = _digits(r, p, deg)
-            val = [1] + [0] * (deg - 1)
-            exp = [1]
-            while True:
-                lead = val[deg - 1]
-                val = [0] + val[: deg - 1]
-                if lead:
-                    val = [(v - lead * c) % p for v, c in zip(val, mod)]
-                enc = _undigits(val, p)
-                if enc == 1:
-                    break
-                exp.append(enc)
-            if len(exp) == order - 1:
+            if _xpow(order - 1, mod, p) == one and all(
+                _xpow(e, mod, p) != one for e in cofactors
+            ):
                 break
         else:
             raise AssertionError("no primitive polynomial found")
+        val, exp = one, [1]
+        for _ in range(order - 2):
+            val = _times_x(val, mod, p)
+            exp.append(_undigits(val, p))
         self.modulus = mod + [1]
         self.exp = exp
         self.log = [0] * order

@@ -7,11 +7,13 @@ prefix row over the precomputed span of the last rows.  Block ranks over the
 subfield come from one vectorized Gaussian elimination on the coordinate
 rows; for blocks with at most TABLE_CAP possible values it is run once on
 every value and memoized as a lookup table.
+
+numpy is imported inside the functions that build or run the tables, so
+importing the package (and every CLI call that does not enumerate) does not
+pay for it.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .errors import FieldTooLarge
 
@@ -27,6 +29,8 @@ def _arithmetic(gf):
     negatives act digit by digit on the base-p digits, so the tables over
     p^(j+1) elements are built from those over p^j by prepending a digit.
     """
+    import numpy as np
+
     p = gf.p
     log, exp = np.array(gf.log, np.int32), np.array(gf.exp, np.int32)
     mul = np.concatenate((exp, exp))[log[:, None] + log[None, :]]
@@ -46,6 +50,8 @@ class FieldTables:
     """Dense lookup tables for one (field, subfield) pair."""
 
     def __init__(self, tower, level="F", sub="E"):
+        import numpy as np
+
         big = tower.gf(level)
         small = tower.gf(sub)
         if big.order > ORDER_CAP:
@@ -65,6 +71,8 @@ class FieldTables:
         Each pivot row is eliminated from every row, itself included, so a
         used row turns zero and is never picked again.
         """
+        import numpy as np
+
         X = self.coord[blocks]  # (M, b, mS) subfield coordinates
         rank = np.zeros(len(X), np.int64)
         rows = np.arange(len(X))
@@ -79,6 +87,8 @@ class FieldTables:
 
     def block_ranks(self, blocks):
         """Ranks of (M, b) blocks, by table lookup when |F|^b <= TABLE_CAP."""
+        import numpy as np
+
         q, b = len(self.addF), blocks.shape[1]
         if q**b > TABLE_CAP:
             return self.ranks(blocks)
@@ -91,6 +101,8 @@ class FieldTables:
 
 def _span(rows, tables):
     """All F-linear combinations of `rows`, as a (|F|^len(rows), n) array."""
+    import numpy as np
+
     S = np.zeros((1, rows.shape[1]), tables.addF.dtype)
     for row in rows:
         S = tables.addF[S[None], tables.mulF[:, row][:, None]].reshape(-1, rows.shape[1])
@@ -111,6 +123,8 @@ def min_weight(G, tables: FieldTables, parts):
 
     G: (k, n) generator rows of F encodings; parts: block sizes (sum = n).
     """
+    import numpy as np
+
     G = np.asarray(G, np.int64)
     k = len(G)
     q = len(tables.addF)

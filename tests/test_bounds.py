@@ -22,7 +22,7 @@ from sumrank.bounds import (
     BoundParams,
     DefiningSetView,
     SearchLimits,
-    _require_square,
+    _require_checkable,
     _units,
     bch_check,
     best_bound_search,
@@ -181,6 +181,16 @@ class TestSearch:
         with pytest.raises(ZeroCode):
             best_bound_search(D)
 
+    @pytest.mark.parametrize("params", [
+        BoundParams("bch", 0, 4, t=1),
+        BoundParams("ht", 0, 2, r=1, t1=1, t2=1),
+        BoundParams("roos", 0, 2, r=1, s=1, ks=(0, 1)),
+    ], ids=lambda p: p.kind)
+    def test_zero_generator_rejected_by_checkers(self, tower9, params):
+        D = DefiningSetView.from_generator(tower9, BivarPoly.zero(tower9))
+        with pytest.raises(ZeroCode):
+            CHECKERS[params.kind](D, params)
+
     def test_limits_respected(self, example):
         _, _, _, D = example
         cert = best_bound_search(D, SearchLimits(delta_max=2, r_max=0))
@@ -205,9 +215,7 @@ class TestSearch:
 def reference_search(D, limits=SearchLimits(), code_id=""):
     """The exhaustive search: every Roos offset subset by a mask loop."""
     t = D.tower
-    _require_square(t)
-    if D.generator is not None and D.generator.is_zero():
-        raise ZeroCode("the zero code has no meaningful bound certificate")
+    _require_checkable(D)
     n = t.n
     dmax = n if limits.delta_max is None else limits.delta_max
     rmax = n if limits.r_max is None else limits.r_max

@@ -1,9 +1,14 @@
 """CLI surface: spec parsing, subcommands, exit codes, round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sumrank
 from sumrank.cli import main, parse_bivar, parse_code_spec
 from sumrank.errors import ParseError
 from sumrank.skew import parse_poly
@@ -36,6 +41,13 @@ rows = 1 0 0 1 0 0 1 0 0
 def gen_spec_file(tmp_path):
     path = tmp_path / "gen.code"
     path.write_text(GEN_SPEC)
+    return str(path)
+
+
+def spec_file(tmp_path, text, name="spec.code"):
+    """Write `text` to tmp_path / name and return the path."""
+    path = tmp_path / name
+    path.write_text(text)
     return str(path)
 
 
@@ -253,3 +265,60 @@ class TestErrorContract:
         # |L| = 2^21 exceeds the 2^16 field-table cap
         argv = ("tower", "--p", "2", "--m", "3", "--h", "7", "--ell", "1", "--N", "3")
         assert self.error(capsys, *argv) == "FieldTooLarge"
+
+    def test_certificates_refuse_other_partitions(self, capsys, tmp_path):
+        # f1 = x+1, f2 = 1 has d = 1 as one block of 9, but the grid certifies 2
+        rows = parse_code_spec(TOWER_SECTION + "\n[generator]\nf1 = x+1\nf2 = 1\n").code.G
+        text = "\n    ".join(" ".join(map(str, row)) for row in rows)
+        path = spec_file(tmp_path, TOWER_SECTION + f"\n[matrix]\nrows = {text}\nparts = 9\n")
+        code, out, _ = run(capsys, "distance", "--code", path)
+        assert code == 0 and json.loads(out)["d"] == 1
+        assert self.error(capsys, "search", "--code", path) == "PreconditionViolated"
+        argv = ("certify", "bch", "--code", path, "--b", "0", "--t", "1", "--delta", "2")
+        assert self.error(capsys, *argv) == "PreconditionViolated"
+
+    def test_certificates_refuse_zero_codes(self, capsys, tmp_path):
+        zero_g = spec_file(tmp_path, TOWER_SECTION + "\n[generator]\ng = 0\n", "g.code")
+        zero_rows = spec_file(
+            tmp_path, TOWER_SECTION + "\n[matrix]\nrows = 0 0 0 0 0 0 0 0 0\n", "m.code"
+        )
+        bch = ("--b", "0", "--t", "1", "--delta", "4")
+        for path in (zero_g, zero_rows):
+            assert self.error(capsys, "search", "--code", path) == "ZeroCode"
+            assert self.error(capsys, "certify", "bch", "--code", path, *bch) == "ZeroCode"
+
+
+class TestImports:
+    """Only the subcommands that enumerate codewords load numpy."""
+
+    SCRIPT = (
+        "import sys, sumrank.cli\n"
+        "assert sumrank.cli.main(sys.argv[1:]) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+
+    def loads_numpy(self, argv):
+        src = str(Path(sumrank.__file__).resolve().parents[1])
+        path = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, *argv],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        return proc.stdout.split()[-1] == "True"
+
+    @pytest.mark.parametrize("argv", [
+        "tower --p 2 --m 3 --h 2 --ell 3 --N 3",
+        "code build --code {spec}",
+        "certify bch --code {spec} --b 1 --t 1 --delta 3",
+        "search --code {spec}",
+        "verify --certificate {cert} --code {spec}",
+    ], ids=lambda argv: argv.split(" --")[0])
+    def test_no_numpy_without_enumeration(self, capsys, gen_spec_file, tmp_path, argv):
+        bch = ("--b", "1", "--t", "1", "--delta", "3")
+        _, out, _ = run(capsys, "certify", "bch", "--code", gen_spec_file, *bch)
+        cert = spec_file(tmp_path, json.dumps(json.loads(out)["certificate"]), "cert.json")
+        assert not self.loads_numpy(argv.format(spec=gen_spec_file, cert=cert).split())
+
+    def test_distance_loads_numpy(self, gen_spec_file):
+        assert self.loads_numpy(["distance", "--code", gen_spec_file])

@@ -267,6 +267,25 @@ def test_table_walk_matches_scan(p, deg):
     assert (new.modulus, new.exp, new.log, new.gen) == (old.modulus, old.exp, old.log, old.gen)
 
 
+@pytest.mark.parametrize(
+    "p,deg,modulus,gen",
+    [
+        (2, 12, 4179, 2),
+        (2, 15, 32771, 2),
+        (2, 16, 65581, 2),
+        (3, 10, 59081, 3),
+        (7, 5, 16818, 7),
+        (13, 4, 28745, 13),
+        (251, 2, 63271, 251),
+        (65521, 1, 65538, 65504),
+    ],
+)
+def test_large_field_moduli(p, deg, modulus, gen):
+    """Fields too large for the ScanGF oracle keep the moduli its walk found."""
+    gf = field(p, deg)
+    assert (gf.modulus_int(), gf.gen) == (modulus, gen)
+
+
 @pytest.mark.parametrize("spec", ORACLE_TOWERS, ids=str)
 class TestTowerMatchesOracles:
     def test_embedding_images_match_full_scan(self, spec):
