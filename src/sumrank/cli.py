@@ -258,7 +258,7 @@ def cmd_product(args) -> int:
     spec1 = load_code_spec(args.code1)
     spec2 = load_code_spec(args.code2)
     if spec1.tower != spec2.tower:
-        raise SumrankError("the two code specs use different towers")
+        raise TowerMismatch("the two code specs use different towers")
     if spec1.f1 is None or spec2.f2 is None:
         raise ParseError("product needs f1 in the first spec and f2 in the second")
     t = spec1.tower

@@ -32,6 +32,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_order(p: int, deg: int) -> None:
+    """Raise FieldTooLarge if |p|^deg exceeds MAX_ORDER, multiplying up with
+    an early exit so that a huge power is never built: 17 factors of
+    |p| >= 2 already pass 2^16."""
+    order = 1
+    for _ in range(min(deg, MAX_ORDER.bit_length())):
+        order *= p
+        if abs(order) > MAX_ORDER:
+            raise FieldTooLarge(f"field order {p}^{deg} exceeds table cap {MAX_ORDER}")
+
+
 def _digits(val: int, p: int, length: int) -> list[int]:
     out = []
     for _ in range(length):
@@ -105,16 +116,14 @@ class GF:
     """
 
     def __init__(self, p: int, deg: int):
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
         if deg < 1:
             raise InvalidParameter("degree must be positive")
-        order = p**deg
-        if order > MAX_ORDER:
-            raise FieldTooLarge(f"field order {order} exceeds table cap {MAX_ORDER}")
+        check_order(p, deg)  # first: trial division of a huge p would stall
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
         self.p = p
         self.deg = deg
-        self.order = order
+        self.order = p**deg
         self._build_tables()
 
     def _build_tables(self):

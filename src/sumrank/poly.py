@@ -18,17 +18,6 @@ def trim(coeffs):
     return tuple(c)
 
 
-def deg(coeffs) -> int:
-    return len(coeffs) - 1  # -1 for the zero polynomial
-
-
-def add(f, g, gf: GF):
-    n = max(len(f), len(g))
-    return trim(
-        gf.add(f[i] if i < len(f) else 0, g[i] if i < len(g) else 0) for i in range(n)
-    )
-
-
 def mul(f, g, gf: GF):
     if not f or not g:
         return ()
@@ -71,24 +60,4 @@ def xl_minus_one(ell: int, gf: GF):
     c[0] = gf.neg(1)
     c[ell] = 1
     return trim(c)
-
-
-def monic_divisors(ell: int, gf: GF):
-    """All monic divisors of x^ell - 1 over gf, by exhaustive scan.
-
-    Only degrees up to ell // 2 are scanned (about |gf|^(ell/2) candidates);
-    every other divisor is the cofactor of a scanned one.  The result is
-    sorted by degree, then by the lower coefficients read as base-|gf|
-    digits, low first: the order of a scan over all degrees.
-    """
-    target = xl_minus_one(ell, gf)
-    q = gf.order
-    found = set()
-    for d in range(ell // 2 + 1):
-        for enc in range(q**d):
-            cand = tuple(enc // q**i % q for i in range(d)) + (1,)
-            if divides(cand, target, gf):
-                found.add(cand)
-                found.add(divmod_poly(target, cand, gf)[0])
-    return sorted(found, key=lambda c: (len(c), sum(v * q**i for i, v in enumerate(c[:-1]))))
 

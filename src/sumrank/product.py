@@ -24,9 +24,9 @@ from .errors import (
     NotADivisor,
     PreconditionViolated,
 )
-from .poly import divides, trim, xl_minus_one
+from .poly import divides, mul, trim, xl_minus_one
 from .skew import SkewPoly, right_divides, sigma_eval
-from .tower import FieldTower
+from .tower import FieldTower, primitive_ell_root
 
 
 def tensor_vector(tower: FieldTower, u, v, level="F"):
@@ -184,23 +184,43 @@ def product_bound(P: ProductCode, kind: str, p: BoundParams, budget=None):
 
 
 def corpus_f1(t: FieldTower, level="F"):
-    """All divisors of x^ell - 1 over E, lifted to the working field."""
-    from .poly import monic_divisors
+    """All monic divisors of x^ell - 1 over E, lifted to the working field.
 
-    divs = monic_divisors(t.ell, t.E)
+    Each is a product of minimal polynomials prod_(j in C) (x - a^j), a a
+    primitive ell-th root of unity in K and C a cyclotomic coset of |E| mod
+    ell.  Ordered by degree, then by the lower coefficients (E-encodings) as
+    base-|E| digits, low first.
+    """
+    E, K, q, ell = t.E, t.K, t.E.order, t.ell
+    a = primitive_ell_root(t).val
+    from_K = {t.lift(v, "E", "K"): v for v in range(q)}
+    divs = [(1,)]
+    for coset in {frozenset(i * q**j % ell for j in range(t.h)) for i in range(ell)}:
+        M = (1,)
+        for j in coset:
+            M = mul(M, (K.neg(K.pow(a, j)), 1), K)
+        divs += [mul(d, tuple(from_K[c] for c in M), E) for d in divs]
+    divs.sort(key=lambda c: (len(c), sum(v * q**i for i, v in enumerate(c[:-1]))))
     return [tuple(t.lift(c, "E", level) for c in d) for d in divs]
 
 
 def corpus_f2(t: FieldTower, level="F"):
-    """All monic right divisors of z^N - 1, by exhaustive scan."""
-    import itertools
-
+    """All monic right divisors of z^N - 1, for N = m: the minimal skew
+    polynomials of the subspaces of the working field over the twist's fixed
+    field (Boucher-Ulmer; Lam-Leroy).  For v outside the kernel V of
+    `sigma_eval(f, .)` and u = sigma_eval(f, v), (z - twist(u)/u) * f is the
+    polynomial of V + <v>; the lattice grows from f = 1, V = {0}.  Ordered
+    by degree, then by the lower coefficients as a tuple, c_0 first.
+    """
+    if t.N != t.m:
+        raise PreconditionViolated("the divisors of z^N - 1 are enumerated for N = m only")
     gf = t.gf(level)
-    zN1 = SkewPoly.z_pow_minus_one(t, t.N, level)
-    out = []
-    for d in range(t.N + 1):
-        for lower in itertools.product(range(gf.order), repeat=d):
-            f = SkewPoly(t, level, tuple(lower) + (1,))
-            if right_divides(f, zN1):
-                out.append(f)
-    return out
+    layer = found = {SkewPoly.one(t, level)}
+    while layer:
+        layer = {
+            SkewPoly(t, level, (gf.neg(gf.div(t.twist(level, u), u)), 1)) * f
+            for f in layer
+            for u in {sigma_eval(f, v) for v in range(1, gf.order)} - {0}
+        }
+        found = found | layer
+    return sorted(found, key=lambda f: (f.degree, f.coeffs[:-1]))

@@ -87,10 +87,6 @@ class SkewPoly:
     def __mul__(self, other):
         return skew_mul(self, other)
 
-    def scale(self, c: int) -> "SkewPoly":
-        gf = self.field
-        return SkewPoly(self.tower, self.level, tuple(gf.mul(c, v) for v in self.coeffs))
-
     def lift_to_L(self) -> "SkewPoly":
         if self.level == "L":
             return self

@@ -8,7 +8,6 @@ restriction to F, realized directly on F as the |E|^h-power map.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import gcd
 
@@ -21,7 +20,7 @@ from .errors import (
     NotPrime,
     RootsOfUnityAbsent,
 )
-from .gf import GF, _undigits, field, find_embedding, is_prime
+from .gf import GF, _undigits, check_order, field, find_embedding, is_prime
 
 _LEVEL_RANK = {"E": 0, "F": 1, "K": 1, "L": 2}
 
@@ -154,9 +153,6 @@ class FieldTower:
             "generators": {lvl: self.gf(lvl).gen for lvl in ("E", "F", "K", "L")},
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.describe(), sort_keys=True)
-
     def __eq__(self, other):
         return isinstance(other, FieldTower) and (
             (self.p, self.e_deg, self.m, self.h, self.ell, self.N)
@@ -240,10 +236,11 @@ class FieldElement:
 
 def build_tower(p: int, e_deg: int, m: int, h: int, ell: int, N: int) -> FieldTower:
     """Construct and validate the tower; see class docstring for the layout."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
     if m < 1 or h < 1 or e_deg < 1 or ell < 1 or N < 1:
         raise InvalidParameter("degrees and block parameters must be positive")
+    check_order(p, e_deg * m * h)  # L is the largest field
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
     if gcd(m, h) != 1:
         raise DegreesNotCoprime(f"gcd({m}, {h}) != 1")
     k_order = p ** (e_deg * h)

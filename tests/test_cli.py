@@ -57,6 +57,13 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def child_env():
+    """The environment for a child interpreter that imports this checkout."""
+    src = str(Path(sumrank.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
 class TestParsing:
     def test_generator_spec(self):
         spec = parse_code_spec(GEN_SPEC)
@@ -266,6 +273,25 @@ class TestErrorContract:
         argv = ("tower", "--p", "2", "--m", "3", "--h", "7", "--ell", "1", "--N", "3")
         assert self.error(capsys, *argv) == "FieldTooLarge"
 
+    @pytest.mark.parametrize("argv", [
+        "--p 1000000000000000003 --m 1 --h 1 --ell 1 --N 1",
+        "--p 2 --m 1 --h 1 --ell 1 --N 1 --e-deg 20000",
+        "--p 2 --m 1 --h 20000 --ell 1 --N 1",
+    ], ids=["huge-p", "huge-e-deg", "huge-h"])
+    def test_tower_huge_parameters(self, argv):
+        # a child process, so that a hang fails by the timeout
+        proc = subprocess.run(
+            [sys.executable, "-m", "sumrank.cli", "tower", *argv.split()],
+            capture_output=True, text=True, env=child_env(), timeout=20,
+        )
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr)["error"] == "FieldTooLarge"
+
+    def test_product_of_two_towers(self, capsys, gen_spec_file, tmp_path):
+        other = spec_file(tmp_path, GEN_SPEC.replace("h = 2", "h = 4"))
+        argv = ("product", "--code1", gen_spec_file, "--code2", other)
+        assert self.error(capsys, *argv) == "TowerMismatch"
+
     def test_certificates_refuse_other_partitions(self, capsys, tmp_path):
         # f1 = x+1, f2 = 1 has d = 1 as one block of 9, but the grid certifies 2
         rows = parse_code_spec(TOWER_SECTION + "\n[generator]\nf1 = x+1\nf2 = 1\n").code.G
@@ -298,12 +324,9 @@ class TestImports:
     )
 
     def loads_numpy(self, argv):
-        src = str(Path(sumrank.__file__).resolve().parents[1])
-        path = [src, os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
         proc = subprocess.run(
             [sys.executable, "-c", self.SCRIPT, *argv],
-            capture_output=True, text=True, env=env, check=True,
+            capture_output=True, text=True, env=child_env(), check=True,
         )
         return proc.stdout.split()[-1] == "True"
 

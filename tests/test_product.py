@@ -1,7 +1,7 @@
 """Tensor products: construction, distance factorization, defining sets."""
 
 import random
-from math import ceil
+from math import ceil, comb
 
 import pytest
 
@@ -20,10 +20,11 @@ from sumrank.errors import (
     NotADivisor,
     PreconditionViolated,
 )
-from sumrank.gf import field
-from sumrank.poly import divides, monic_divisors, trim, xl_minus_one
+from sumrank.poly import divides, divmod_poly, trim, xl_minus_one
 from sumrank.product import (
     ProductCode,
+    corpus_f1,
+    corpus_f2,
     cyclic_code_from_poly,
     factor_distances,
     product_bound,
@@ -34,7 +35,8 @@ from sumrank.product import (
     tensor_code,
     tensor_vector,
 )
-from sumrank.skew import SkewPoly
+from sumrank.skew import SkewPoly, right_divides
+from sumrank.tower import build_tower
 
 
 def scan_divisors(ell, gf):
@@ -55,15 +57,98 @@ def scan_divisors(ell, gf):
     return out
 
 
+def half_scan_divisors(ell, gf):
+    """All monic divisors of x^ell - 1 over gf, by exhaustive scan.
+
+    Only degrees up to ell // 2 are scanned (about |gf|^(ell/2) candidates);
+    every other divisor is the cofactor of a scanned one.  The result is
+    sorted by degree, then by the lower coefficients read as base-|gf|
+    digits, low first: the order of a scan over all degrees.
+    """
+    target = xl_minus_one(ell, gf)
+    q = gf.order
+    found = set()
+    for d in range(ell // 2 + 1):
+        for enc in range(q**d):
+            cand = tuple(enc // q**i % q for i in range(d)) + (1,)
+            if divides(cand, target, gf):
+                found.add(cand)
+                found.add(divmod_poly(target, cand, gf)[0])
+    return sorted(found, key=lambda c: (len(c), sum(v * q**i for i, v in enumerate(c[:-1]))))
+
+
+def scan_right_divisors(t, level="F"):
+    """All monic right divisors of z^N - 1, by exhaustive scan."""
+    import itertools
+
+    gf = t.gf(level)
+    zN1 = SkewPoly.z_pow_minus_one(t, t.N, level)
+    out = []
+    for d in range(t.N + 1):
+        for lower in itertools.product(range(gf.order), repeat=d):
+            f = SkewPoly(t, level, tuple(lower) + (1,))
+            if right_divides(f, zN1):
+                out.append(f)
+    return out
+
+
 class TestDivisors:
     @pytest.mark.parametrize(
         "p, deg, ell",
-        [(2, 1, 1), (2, 1, 3), (2, 1, 6), (2, 1, 7), (2, 1, 9), (2, 2, 3), (2, 2, 5),
+        [(2, 1, 1), (2, 1, 3), (2, 1, 7), (2, 1, 9), (2, 2, 3), (2, 2, 5),
          (3, 1, 2), (3, 1, 4), (3, 1, 5), (3, 2, 4), (5, 1, 4), (7, 1, 3)],
     )
     def test_half_scan_matches_full_scan(self, p, deg, ell):
-        gf = field(p, deg)
-        assert monic_divisors(ell, gf) == scan_divisors(ell, gf)
+        """corpus_f1 and the half scan both give the full scan's list, on the
+        tower with E = F = GF(p^deg) whose K is the splitting field of
+        x^ell - 1."""
+        h = next(h for h in range(1, ell + 1) if p ** (deg * h) % ell == 1 % ell)
+        t = build_tower(p, deg, 1, h, ell, 1)
+        assert corpus_f1(t, "E") == half_scan_divisors(ell, t.E) == scan_divisors(ell, t.E)
+
+
+class TestCorpora:
+    """The constructed corpora are the scans' lists, in the scans' order."""
+
+    @pytest.mark.parametrize("spec", [
+        # the benchmark towers; the first is tower9
+        (2, 1, 3, 2, 3, 3), (2, 1, 3, 4, 5, 3), (2, 1, 4, 3, 7, 4),
+        (5, 1, 2, 1, 4, 2), (7, 1, 2, 1, 6, 2),
+        # odd p, E != F_p, gcd(ell, m) > 1 and ell = 1
+        (3, 1, 2, 1, 2, 2), (2, 2, 2, 1, 3, 2), (3, 2, 2, 1, 4, 2),
+        (7, 1, 2, 1, 3, 2), (2, 1, 1, 3, 7, 1), (2, 1, 3, 4, 15, 3),
+    ], ids=str)
+    def test_equal_to_the_scans(self, spec):
+        t = build_tower(*spec)
+        lifted = [tuple(t.lift(c, "E", "F") for c in d) for d in half_scan_divisors(t.ell, t.E)]
+        assert corpus_f1(t) == lifted
+        assert corpus_f2(t) == scan_right_divisors(t)
+
+    @pytest.mark.parametrize("spec", [(11, 1, 2, 1, 10, 2), (13, 1, 2, 1, 12, 2)], ids=str)
+    def test_f1_where_x_ell_minus_1_splits(self, spec):
+        """ell | p - 1: x^ell - 1 is ell distinct linear factors over F_p, so
+        there are C(ell, d) divisors of degree d, 2^ell in all."""
+        t = build_tower(*spec)
+        divs = corpus_f1(t, "E")
+        assert len(set(divs)) == len(divs) == 2**t.ell
+        assert [sum(len(d) == k + 1 for d in divs) for k in range(t.ell + 1)] == [
+            comb(t.ell, k) for k in range(t.ell + 1)
+        ]
+        target = xl_minus_one(t.ell, t.E)
+        # a sample: dividing all 4,096 at ell = 12 takes about 0.8 s
+        assert all(d[-1] == 1 and divides(d, target, t.E) for d in divs[::7])
+
+    def test_f2_lattice_of_F32_over_F2(self):
+        """374 subspaces of F_2^5, each the kernel of a right divisor of z^5 - 1."""
+        t = build_tower(2, 1, 5, 2, 3, 5)
+        divs = corpus_f2(t)
+        assert len(set(divs)) == len(divs) == 374
+        z5 = SkewPoly.z_pow_minus_one(t, 5)
+        assert all(f.coeffs[-1] == 1 and right_divides(f, z5) for f in divs)
+
+    def test_f2_needs_N_equal_to_m(self):
+        with pytest.raises(PreconditionViolated):
+            corpus_f2(build_tower(2, 1, 2, 1, 1, 4))
 
 
 class TestTensorVector:
