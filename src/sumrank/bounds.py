@@ -17,6 +17,7 @@ from . import linalg
 from .bivar import BivarPoly, ev_total
 from .errors import (
     GridNotContained,
+    InvalidParameter,
     NotNormal,
     NotPrimitive,
     ParseError,
@@ -262,6 +263,12 @@ class SearchLimits:
     delta_max: int | None = None  # default n
     r_max: int | None = None  # default n
 
+    def __post_init__(self):
+        for name in ("delta_max", "r_max"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise InvalidParameter(f"{name} must be non-negative, got {value}")
+
 
 def _units(n):
     return [u for u in range(1, n) if gcd(n, u) == 1]
@@ -303,8 +310,10 @@ def best_bound_search(D: DefiningSetView, limits: SearchLimits = SearchLimits(),
     # Everything below tracks pairs through the exponent e: with the grid
     # pair at ((b + e) mod ell, e mod m), two exponents hit the same pair
     # exactly when they agree modulo lcm(ell, m).  Membership and pairwise
-    # distinctness are therefore lookups on e mod n and e mod lcm.
+    # distinctness are therefore lookups on e mod n and e mod lcm.  A set of
+    # residues mod lcm is a bit mask.
     lc = (t.ell * t.m) // gcd(t.ell, t.m)
+    gcd_n = [gcd(n, k) for k in range(n)]
 
     consider(1, 0, BoundParams("bch", 0, 1, t=1))
     for b in range(n):
@@ -324,31 +333,36 @@ def best_bound_search(D: DefiningSetView, limits: SearchLimits = SearchLimits(),
                 consider(delta, 0, BoundParams("bch", b, delta, t=step))
 
         for step in units:
+            # base(delta) = {step * i : i < delta - 1} grows by one exponent
+            # per delta, and the good offsets k (every base + k a member)
+            # shrink by that exponent's test.  Once the base fails, it fails
+            # for every larger delta.  shift[k] holds the residues of base + k
+            # for a good k, so shift[0] is the base's own; each is a translate
+            # of the base's distinct residues, so it has delta - 1 of them.
+            good, shift = range(n), [0] * n
             for delta in range(2, dmax + 1):
-                base = [(step * i) % n for i in range(delta - 1)]
-                base_res = {e % lc for e in base}
-                # base(delta + 1) extends base(delta): once it fails, it
-                # fails for every larger delta
-                if not all(memb[e] for e in base) or len(base_res) != delta - 1:
+                e = (step * (delta - 2)) % n
+                if not memb[e] or shift[0] >> (e % lc) & 1:
                     break
                 # ascending, and starts with 0 since the base is all members
-                good = [
-                    k for k in range(n)
-                    if all(memb[(e + k) % n] for e in base)
-                ]
+                good = [k for k in good if memb[(e + k) % n]]
+                for k in good:
+                    shift[k] |= 1 << ((e + k) % lc)
+                base = shift[0]
+                good_set = set(good)
 
-                # ht: extend by columns k = s*t2 while fresh and member
-                for t2 in range(1, n):
-                    if gcd(n, t2) >= delta:
+                # ht: extend by columns k = s*t2 while fresh and member; a
+                # t2 outside the good offsets stops at r = 0
+                for t2 in good[1:]:
+                    if gcd_n[t2] >= delta:
                         continue
-                    seen = set(base_res)
+                    seen = base
                     r = 0
                     while r + 1 <= rmax:
                         k = ((r + 1) * t2) % n
-                        new = {(e + k) % lc for e in base}
-                        if k not in good or len(new) != delta - 1 or (seen & new):
+                        if k not in good_set or seen & shift[k]:
                             break
-                        seen |= new
+                        seen |= shift[k]
                         r += 1
                     if r >= 1:
                         consider(
@@ -364,7 +378,7 @@ def best_bound_search(D: DefiningSetView, limits: SearchLimits = SearchLimits(),
                 # the level (later offsets are larger), a residue collision
                 # skips one offset.
                 pos = good[1:]
-                fresh = [{(e + k) % lc for e in base} for k in pos]
+                fresh = [shift[k] for k in pos]
 
                 def grow(ks, seen, start):
                     r = len(ks)  # r of ks plus one more offset
@@ -382,7 +396,7 @@ def best_bound_search(D: DefiningSetView, limits: SearchLimits = SearchLimits(),
                         )
                         grow(ks_i, seen | fresh[i], i + 1)
 
-                grow((0,), base_res, 0)
+                grow((0,), base, 0)
 
     params = best[3]
     return CHECKERS[params.kind](D, params, code_id)

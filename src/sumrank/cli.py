@@ -139,8 +139,9 @@ def parse_code_spec(text: str) -> CodeSpec:
         f1_text, f2_text = sec.get("f1"), sec.get("f2")
         if f1_text is None or f2_text is None:
             raise ParseError("[generator] needs g= or both f1= and f2=")
-        f1 = parse_poly(f1_text, t, "F", "x")
-        f2 = SkewPoly(t, "F", parse_poly(f2_text, t, "F", "z"))
+        # a divisor of x^ell - 1 or of z^N - 1 has no higher degree
+        f1 = parse_poly(f1_text, t, "F", "x", max_deg=t.ell)
+        f2 = SkewPoly(t, "F", parse_poly(f2_text, t, "F", "z", max_deg=t.N))
         g = product_generator_poly(t, f1, f2)
         code = code_from_skew_generator(g, t)
         return CodeSpec(t, code, generator=g, f1=f1, f2=f2)
@@ -149,10 +150,12 @@ def parse_code_spec(text: str) -> CodeSpec:
 
 def _read(path: str, what: str) -> str:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise UnreadableInput(f"cannot read {what} {path!r}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise UnreadableInput(f"{what} {path!r} is not UTF-8 text: {exc.reason}")
 
 
 def load_code_spec(path: str) -> CodeSpec:

@@ -3,8 +3,9 @@
 Elements are plain integers in [0, p^d): the base-p digits of an integer are
 the coordinates in the polynomial basis {1, g, ..., g^(d-1)}, where g is the
 residue class of the variable modulo a deterministically chosen primitive
-polynomial.  Multiplication goes through log/antilog tables, so field sizes
-are capped at 2^16.
+polynomial.  Multiplication goes through log/antilog tables, and so does
+addition in odd characteristic (Zech logarithms), so field sizes are capped
+at 2^16.
 """
 
 from __future__ import annotations
@@ -158,23 +159,38 @@ class GF:
         for i, enc in enumerate(exp):
             self.log[enc] = i
         self.gen = exp[1] if order > 2 else 1
+        if p != 2:
+            # Zech logarithms: 1 + exp[i] = exp[zech[i]], or -1 where the sum
+            # is 0 (exp[i] = p - 1).  Adding 1 only steps the lowest base-p
+            # digit, without a carry.
+            log = self.log
+            self.zech = [-1 if e == p - 1 else log[e - e % p + (e + 1) % p] for e in exp]
 
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
+        """a ^ b for p = 2; otherwise a * (1 + b/a) by Zech logarithms."""
         if self.p == 2:
             return a ^ b
-        da = _digits(a, self.p, self.deg)
-        db = _digits(b, self.p, self.deg)
-        return _undigits([(x + y) % self.p for x, y in zip(da, db)], self.p)
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        log, n = self.log, self.order - 1
+        z = self.zech[(log[b] - log[a]) % n]
+        return 0 if z < 0 else self.exp[(log[a] + z) % n]
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
+        """-a = a * g^((order-1)/2) for odd p, since -1 is the only element
+        of order 2."""
+        if self.p == 2 or a == 0:
             return a
-        da = _digits(a, self.p, self.deg)
-        return _undigits([(-x) % self.p for x in da], self.p)
+        n = self.order - 1
+        return self.exp[(self.log[a] + n // 2) % n]
 
     def sub(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:

@@ -14,6 +14,7 @@ def rref(rows, gf: GF):
     R = [list(r) for r in rows]
     if not R:
         return [], []
+    mul, sub = gf.mul, gf.sub
     ncols = len(R[0])
     pivots = []
     prow = 0
@@ -27,11 +28,14 @@ def rref(rows, gf: GF):
             continue
         R[prow], R[found] = R[found], R[prow]
         lead = gf.inv(R[prow][col])
-        R[prow] = [gf.mul(lead, v) for v in R[prow]]
-        for r in range(len(R)):
-            if r != prow and R[r][col] != 0:
-                f = R[r][col]
-                R[r] = [gf.sub(R[r][j], gf.mul(f, R[prow][j])) for j in range(ncols)]
+        pivot = R[prow] = [mul(lead, v) for v in R[prow]]
+        # a column where the pivot row is 0 keeps its entries
+        support = [(j, v) for j, v in enumerate(pivot) if v != 0]
+        for r, row in enumerate(R):
+            f = row[col]
+            if r != prow and f != 0:
+                for j, v in support:
+                    row[j] = sub(row[j], mul(f, v))
         pivots.append(col)
         prow += 1
         if prow == len(R):
@@ -45,11 +49,14 @@ def rank(rows, gf: GF) -> int:
 
 def reduce_against(vec, rref_rows, pivots, gf: GF):
     """Residual of `vec` after elimination by RREF rows; zero iff in span."""
+    mul, sub = gf.mul, gf.sub
     v = list(vec)
     for row, col in zip(rref_rows, pivots):
-        if v[col] != 0:
-            f = v[col]
-            v = [gf.sub(v[j], gf.mul(f, row[j])) for j in range(len(v))]
+        f = v[col]
+        if f != 0:
+            for j, x in enumerate(row):
+                if x != 0:
+                    v[j] = sub(v[j], mul(f, x))
     return v
 
 

@@ -246,16 +246,25 @@ _TERM_RE = re.compile(r"(?:(g(?:\^?\d+|\^\w*)?|\d+)\s*\*?\s*)?((?:[a-z](?:\^\d+)
 _POWER_RE = re.compile(r"([a-z])(?:\^(\d+))?")
 
 
+def _int(digits: str) -> int:
+    """int() of a digit string, with ParseError past Python's digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer token of {len(digits)} digits is too long")
+
+
 def parse_coeff(tok: str, gf) -> int:
     """A coefficient token: an integer encoding below |gf|, `g` or `g^k`."""
     m = _COEFF_RE.fullmatch(tok)
     if not m:
         raise ParseError(f"bad coefficient {tok!r}")
     if tok.startswith("g"):
-        return gf.pow(gf.gen, int(m.group(1) or 1))
-    if int(tok) >= gf.order:
+        return gf.pow(gf.gen, _int(m.group(1) or "1"))
+    val = _int(tok)
+    if val >= gf.order:
         raise ParseError(f"coefficient {tok} out of range for order {gf.order}")
-    return int(tok)
+    return val
 
 
 def parse_terms(text: str, gf, variables: str):
@@ -274,16 +283,24 @@ def parse_terms(text: str, gf, variables: str):
         for v, e in _POWER_RE.findall(m.group(2)):
             if v not in variables:
                 raise ParseError(f"unexpected variable {v!r}, expected one of {variables!r}")
-            exps[v] = exps.get(v, 0) + int(e or 1)
+            exps[v] = exps.get(v, 0) + _int(e or "1")
         yield (gf.neg(c) if raw.startswith("-") else c), exps
 
 
-def parse_poly(text: str, tower: FieldTower, level: str, var: str):
+def parse_poly(text: str, tower: FieldTower, level: str, var: str,
+               max_deg: int | None = None):
     """Parse "c0 + c1*z + c2*z^2" style text into a coefficient tuple
-    (low degree first); coefficients as in `parse_coeff`."""
+    (low degree first); coefficients as in `parse_coeff`.  A term of degree
+    above `max_deg` is a ParseError, raised before any coefficient list is
+    built."""
     gf = tower.gf(level)
+    terms = list(parse_terms(text, gf, var))
+    if max_deg is not None:
+        top = max(exps.get(var, 0) for _, exps in terms)
+        if top > max_deg:
+            raise ParseError(f"a term of degree {top} in {var} exceeds {max_deg}")
     out = []
-    for c, exps in parse_terms(text, gf, var):
+    for c, exps in terms:
         e = exps.get(var, 0)
         out += [0] * (e + 1 - len(out))
         out[e] = gf.add(out[e], c)

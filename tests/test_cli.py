@@ -287,6 +287,48 @@ class TestErrorContract:
         assert proc.returncode == 2
         assert json.loads(proc.stderr)["error"] == "FieldTooLarge"
 
+    def test_input_not_utf8(self, capsys, gen_spec_file, tmp_path):
+        path = tmp_path / "binary"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        assert self.error(capsys, "code", "build", "--code", str(path)) == "UnreadableInput"
+        argv = ("verify", "--certificate", str(path), "--code", gen_spec_file)
+        assert self.error(capsys, *argv) == "UnreadableInput"
+
+    @pytest.mark.parametrize("section", [
+        "[matrix]\nrows = {big} 0 0 1 0 0 1 0 0\n",
+        "[generator]\nf1 = g^{big}*x + 1\nf2 = z+1\n",
+        "[generator]\ng = x^{big} + 1\n",
+    ], ids=["matrix-entry", "g-power", "x-exponent"])
+    def test_integer_token_past_digit_limit(self, capsys, tmp_path, section):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # Python's default
+        try:
+            text = TOWER_SECTION + "\n" + section.format(big="1" * 5000)
+            path = spec_file(tmp_path, text)
+            assert self.error(capsys, "code", "build", "--code", path) == "ParseError"
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.parametrize("factors", [
+        "f1 = x^99999999999 + 1\nf2 = z+1",
+        "f1 = x+1\nf2 = z^99999999999 + 1",
+    ], ids=["f1", "f2"])
+    def test_factor_degree_past_block_length(self, tmp_path, factors):
+        # a child process, so that building the coefficient list fails by the
+        # timeout or the memory it takes
+        path = spec_file(tmp_path, TOWER_SECTION + "\n[generator]\n" + factors + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "sumrank.cli", "code", "build", "--code", path],
+            capture_output=True, text=True, env=child_env(), timeout=20,
+        )
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr)["error"] == "ParseError"
+
+    @pytest.mark.parametrize("limit", [("--delta-max", "-3"), ("--r-max", "-1")])
+    def test_negative_search_limits(self, capsys, gen_spec_file, limit):
+        argv = ("search", "--code", gen_spec_file, *limit)
+        assert self.error(capsys, *argv) == "InvalidParameter"
+
     def test_product_of_two_towers(self, capsys, gen_spec_file, tmp_path):
         other = spec_file(tmp_path, GEN_SPEC.replace("h = 2", "h = 4"))
         argv = ("product", "--code1", gen_spec_file, "--code2", other)

@@ -1,5 +1,7 @@
 """Field arithmetic and tower construction."""
 
+import random
+
 import pytest
 
 from sumrank import build_tower, find_normal_element, frobenius_power, is_normal, primitive_ell_root
@@ -213,6 +215,23 @@ class ScanGF:
         self.gen = exp[1] if order > 2 else 1
 
 
+def digit_add(gf, a: int, b: int) -> int:
+    """The former `GF.add`: digit-wise sums mod p."""
+    if gf.p == 2:
+        return a ^ b
+    da = _digits(a, gf.p, gf.deg)
+    db = _digits(b, gf.p, gf.deg)
+    return _undigits([(x + y) % gf.p for x, y in zip(da, db)], gf.p)
+
+
+def digit_neg(gf, a: int) -> int:
+    """The former `GF.neg`: digit-wise negation mod p."""
+    if gf.p == 2:
+        return a
+    da = _digits(a, gf.p, gf.deg)
+    return _undigits([(-x) % gf.p for x in da], gf.p)
+
+
 def scan_find_embedding(small, big) -> int:
     """The former `find_embedding`: scans all of `big` for a root."""
     if small.order == big.order:
@@ -322,3 +341,28 @@ def test_coords_round_trip(spec, level, sub):
         for i, c in enumerate(t.coords(level, sub, v)):
             acc = big.add(acc, big.mul(t.lift(c, sub, level), big.pow(big.gen, i)))
         assert acc == v
+
+
+@pytest.mark.parametrize("p,deg", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2), (11, 2)])
+def test_zech_arithmetic_matches_digits_on_all_pairs(p, deg):
+    gf = field(p, deg)
+    for a in range(gf.order):
+        assert gf.neg(a) == digit_neg(gf, a)
+        for b in range(gf.order):
+            assert gf.add(a, b) == digit_add(gf, a, b)
+            assert gf.sub(a, b) == digit_add(gf, a, digit_neg(gf, b))
+
+
+@pytest.mark.parametrize("p,deg", [(3, 10), (13, 2)])
+def test_zech_arithmetic_matches_digits_on_a_sample(p, deg):
+    gf = field(p, deg)
+    rng = random.Random(p * 100 + deg)
+    # the zero element and the sums to zero are the edge cases of the tables
+    pairs = [(0, 0), (1, 0), (0, 1), (1, gf.neg(1))]
+    for _ in range(3000):
+        a = rng.randrange(gf.order)
+        pairs += [(a, rng.randrange(gf.order)), (a, digit_neg(gf, a))]
+    for a, b in pairs:
+        assert gf.neg(a) == digit_neg(gf, a)
+        assert gf.add(a, b) == digit_add(gf, a, b)
+        assert gf.sub(a, b) == digit_add(gf, a, digit_neg(gf, b))
