@@ -2,19 +2,26 @@
 
 All three certificate families (BCH, Hartmann-Tzeng, Roos) consume pairs
 from the canonical ell x m grid {(a^i, sigma^j(beta))} for one fixed
-primitive ell-th root a and one fixed normal element beta.  Exponents are
-reduced mod ell in the first component and mod m in the second; membership
-of a pair means the code's generator evaluates to zero there.
+primitive ell-th root a and one fixed normal element beta, computed once per
+tower.  Exponents are reduced mod ell in the first component and mod m in the
+second; membership of a pair means the code's generator evaluates to zero
+there.  A defining set is one ell x m table of booleans, filled with ell
+substitutions x := a^i and ell * m right evaluations.  Until ROADMAP item 1's
+coset rule lands, the checkers refuse repeated pairs and the search tracks
+pair residues mod lcm(ell, m), since a progression can revisit a pair when
+gcd(ell, m) > 1.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dfield
+from functools import lru_cache
 from math import gcd
 
 from . import linalg
-from .bivar import BivarPoly, ev_total
+# ev_total stays importable here: benchmark/tracer.py rebinds bounds.ev_total
+from .bivar import BivarPoly, ev_az, ev_total  # noqa: F401
 from .errors import (
     GridNotContained,
     InvalidParameter,
@@ -25,6 +32,7 @@ from .errors import (
     SelectionTooSmall,
     ZeroCode,
 )
+from .skew import right_evaluate
 from .tower import (
     FieldElement,
     FieldTower,
@@ -34,55 +42,55 @@ from .tower import (
 )
 
 
+@lru_cache(maxsize=None)
+def grid_points(t: FieldTower) -> tuple[int, int]:
+    """The L-encodings of the tower's fixed a and beta."""
+    return primitive_ell_root(t).in_level("L").val, find_normal_element(t).in_level("L").val
+
+
+def common_zeros(t: FieldTower, polys) -> list[list[bool]]:
+    """The ell x m table of the grid pairs at which every poly vanishes: row i
+    substitutes x := a^i, column j right-evaluates at sigma^j(sigma(beta)/beta)."""
+    a, beta = grid_points(t)
+    L = t.L
+    lifted = [f.lift_to_L() for f in polys]
+    point = L.div(t.sigma(beta), beta)
+    points = [t.sigma(point, j) for j in range(t.m)]
+    table = []
+    for i in range(t.ell):
+        rows = [ev_az(f, L.pow(a, i)) for f in lifted]
+        table.append([all(right_evaluate(fz, pt) == 0 for fz in rows) for pt in points])
+    return table
+
+
 class DefiningSetView:
-    """Membership of evaluation pairs in the defining set of a CSC code."""
+    """The ell x m membership table of a CSC code's defining set."""
 
-    def __init__(self, tower: FieldTower, generator: BivarPoly | None,
-                 membership_fn=None, a: FieldElement | None = None,
-                 beta: FieldElement | None = None):
-        if generator is None and membership_fn is None:
-            raise ValueError("need a generator or a membership predicate")
+    def __init__(self, tower: FieldTower, generator: BivarPoly | None, table):
         self.tower = tower
-        self.generator = generator
-        self._fn = membership_fn
-        self.a = a if a is not None else primitive_ell_root(tower)
-        self.beta = beta if beta is not None else find_normal_element(tower)
-        self._grid_cache = {}
+        self.generator = generator  # None when the table came another way
+        self.table = table  # table[i][j]: (a^i, sigma^j(beta)) is a member
 
     @classmethod
-    def from_generator(cls, tower, g: BivarPoly, a=None, beta=None):
-        return cls(tower, g, a=a, beta=beta)
+    def from_generator(cls, tower, g: BivarPoly):
+        return cls(tower, g, common_zeros(tower, [g]))
 
     @classmethod
-    def from_predicate(cls, tower, fn, a=None, beta=None):
+    def from_predicate(cls, tower, fn):
         """fn(a_val, beta_val) -> bool on L-encodings."""
-        return cls(tower, None, membership_fn=fn, a=a, beta=beta)
-
-    def membership(self, a_elt, beta_elt) -> bool:
-        """Arbitrary-pair query; a_elt must be an ell-th root of unity."""
-        t = self.tower
-        aval = a_elt.in_level("L").val if isinstance(a_elt, FieldElement) else a_elt
-        bval = beta_elt.in_level("L").val if isinstance(beta_elt, FieldElement) else beta_elt
-        if self._fn is not None:
-            return self._fn(aval, bval)
-        return ev_total(self.generator, aval, bval) == 0
+        a, beta = grid_points(tower)
+        conj = [tower.sigma(beta, j) for j in range(tower.m)]
+        return cls(tower, None, [
+            [fn(tower.L.pow(a, i), b) for b in conj] for i in range(tower.ell)
+        ])
 
     def grid_member(self, a_exp: int, sig_exp: int) -> bool:
         """Membership of (a^a_exp, sigma^sig_exp(beta))."""
-        t = self.tower
-        key = (a_exp % t.ell, sig_exp % t.m)
-        if key not in self._grid_cache:
-            aval = t.L.pow(self.a.in_level("L").val, key[0])
-            bval = t.sigma(self.beta.in_level("L").val, key[1])
-            self._grid_cache[key] = self.membership(aval, bval)
-        return self._grid_cache[key]
+        return self.table[a_exp % self.tower.ell][sig_exp % self.tower.m]
 
     def grid_table(self):
-        """The full ell x m membership table."""
-        t = self.tower
-        return [
-            [self.grid_member(i, j) for j in range(t.m)] for i in range(t.ell)
-        ]
+        """A copy of the ell x m membership table."""
+        return [list(row) for row in self.table]
 
 
 @dataclass(frozen=True)
@@ -185,8 +193,12 @@ def _require_checkable(D: DefiningSetView):
         raise ZeroCode("the zero code has no meaningful bound certificate")
 
 
-def _emit(D: DefiningSetView, p: BoundParams, pairs, bound, code_id="") -> BoundCertificate:
+def _emit(D: DefiningSetView, p: BoundParams, count, pairs, bound, code_id="") -> BoundCertificate:
+    """Check the `count` pairs that `pairs` yields; more than the ell * m of
+    the grid cannot be distinct, so they are refused before being listed."""
     t = D.tower
+    if count > t.ell * t.m:
+        raise PreconditionViolated(f"{count} evaluation pairs exceed the {t.ell} x {t.m} grid")
     reduced = []
     for ae, se in pairs:
         key = (ae % t.ell, se % t.m)
@@ -208,8 +220,8 @@ def bch_check(D: DefiningSetView, p: BoundParams, code_id="") -> BoundCertificat
         raise PreconditionViolated("delta >= 1")
     if p.t is None or gcd(t.n, p.t) != 1:
         raise PreconditionViolated("gcd(n, t) = 1")
-    pairs = [(p.b + i * p.t, i * p.t) for i in range(p.delta - 1)]
-    return _emit(D, p, pairs, p.delta, code_id)
+    pairs = ((p.b + i * p.t, i * p.t) for i in range(p.delta - 1))
+    return _emit(D, p, p.delta - 1, pairs, p.delta, code_id)
 
 
 def roos_check(D: DefiningSetView, p: BoundParams, code_id="") -> BoundCertificate:
@@ -228,12 +240,8 @@ def roos_check(D: DefiningSetView, p: BoundParams, code_id="") -> BoundCertifica
         raise PreconditionViolated("delta >= 2 when r > 0")
     if p.delta < 1:
         raise PreconditionViolated("delta >= 1")
-    pairs = [
-        (p.b + p.s * i + k, p.s * i + k)
-        for i in range(p.delta - 1)
-        for k in ks
-    ]
-    return _emit(D, p, pairs, p.delta + p.r, code_id)
+    pairs = ((p.b + p.s * i + k, p.s * i + k) for i in range(p.delta - 1) for k in ks)
+    return _emit(D, p, (p.delta - 1) * len(ks), pairs, p.delta + p.r, code_id)
 
 
 def ht_check(D: DefiningSetView, p: BoundParams, code_id="") -> BoundCertificate:
@@ -247,12 +255,12 @@ def ht_check(D: DefiningSetView, p: BoundParams, code_id="") -> BoundCertificate
         raise PreconditionViolated("delta >= 2 when r > 0")
     if p.delta < 1:
         raise PreconditionViolated("delta >= 1")
-    pairs = [
+    pairs = (
         (p.b + i * p.t1 + s * p.t2, i * p.t1 + s * p.t2)
         for i in range(p.delta - 1)
         for s in range(p.r + 1)
-    ]
-    return _emit(D, p, pairs, p.delta + p.r, code_id)
+    )
+    return _emit(D, p, (p.delta - 1) * (p.r + 1), pairs, p.delta + p.r, code_id)
 
 
 CHECKERS = {"bch": bch_check, "ht": ht_check, "roos": roos_check}
@@ -281,31 +289,25 @@ def best_bound_search(D: DefiningSetView, limits: SearchLimits = SearchLimits(),
     Ties break by kind order bch < ht < roos, then by the lexicographically
     smallest parameter tuple.  Bound 1 (empty BCH grid) is always available.
     """
+    _, kind, key, r = min(_candidates(D, limits), key=lambda c: (-c[0], c[1], c[2]))
+    b, delta, step, t1, t2, s, ks = (None if v == -1 else v for v in key)
+    params = BoundParams(
+        ("bch", "ht", "roos")[kind], b, delta, t=step, r=r, t1=t1, t2=t2, s=s, ks=ks or None
+    )
+    return CHECKERS[params.kind](D, params, code_id)
+
+
+def _candidates(D: DefiningSetView, limits: SearchLimits):
+    """Yield every certificate the search considers, as (bound, kind index,
+    (b, delta, t, t1, t2, s, ks), r); a field the kind does not use is -1,
+    or () for ks."""
     t = D.tower
     _require_checkable(D)
     n = t.n
     dmax = n if limits.delta_max is None else limits.delta_max
     rmax = n if limits.r_max is None else limits.r_max
     units = _units(n)
-    best = None  # (bound, kind_idx, param_sort_key, BoundParams)
-
-    def consider(bound, kind_idx, params):
-        nonlocal best
-        if best is None or bound > best[0] or (
-            bound == best[0] and (kind_idx, params_sort_key(params)) < (best[1], best[2])
-        ):
-            best = (bound, kind_idx, params_sort_key(params), params)
-
-    def params_sort_key(p: BoundParams):
-        return (
-            p.b,
-            p.delta,
-            p.t if p.t is not None else -1,
-            p.t1 if p.t1 is not None else -1,
-            p.t2 if p.t2 is not None else -1,
-            p.s if p.s is not None else -1,
-            p.ks if p.ks is not None else (),
-        )
+    yield (1, 0, (0, 1, 1, -1, -1, -1, ()), 0)
 
     # Everything below tracks pairs through the exponent e: with the grid
     # pair at ((b + e) mod ell, e mod m), two exponents hit the same pair
@@ -314,23 +316,19 @@ def best_bound_search(D: DefiningSetView, limits: SearchLimits = SearchLimits(),
     # residues mod lcm is a bit mask.
     lc = (t.ell * t.m) // gcd(t.ell, t.m)
     gcd_n = [gcd(n, k) for k in range(n)]
+    bch_cap = min(dmax - 1, lc)  # pairs of a BCH progression
 
-    consider(1, 0, BoundParams("bch", 0, 1, t=1))
     for b in range(n):
-        memb = [D.grid_member(b + e, e) for e in range(n)]
+        memb = [D.table[(b + e) % t.ell][e % t.m] for e in range(n)]
 
-        # bch: grow the progression while new pairs are members and fresh
+        # bch: grow the progression while new pairs are members.  The step
+        # is a unit mod lcm, so the first repeated pair comes at i = lcm.
         for step in units:
-            seen = set()
-            delta = 1
-            while delta - 1 <= dmax - 2:
-                e = ((delta - 1) * step) % n
-                if not memb[e] or e % lc in seen:
-                    break
-                seen.add(e % lc)
-                delta += 1
-            if delta >= 2:
-                consider(delta, 0, BoundParams("bch", b, delta, t=step))
+            i = 0
+            while i < bch_cap and memb[(i * step) % n]:
+                i += 1
+            if i >= 1:
+                yield (i + 1, 0, (b, i + 1, step, -1, -1, -1, ()), 0)
 
         for step in units:
             # base(delta) = {step * i : i < delta - 1} grows by one exponent
@@ -365,10 +363,7 @@ def best_bound_search(D: DefiningSetView, limits: SearchLimits = SearchLimits(),
                         seen |= shift[k]
                         r += 1
                     if r >= 1:
-                        consider(
-                            delta + r, 1,
-                            BoundParams("ht", b, delta, r=r, t1=step, t2=t2),
-                        )
+                        yield (delta + r, 1, (b, delta, -1, step, t2, -1, ()), r)
 
                 # roos: every offset set {0} | S, S a nonempty subset of the
                 # good offsets, with r <= rmax, the window k_r <= delta + r - 2
@@ -390,16 +385,10 @@ def best_bound_search(D: DefiningSetView, limits: SearchLimits = SearchLimits(),
                         if seen & fresh[i]:
                             continue
                         ks_i = ks + (pos[i],)
-                        consider(
-                            delta + r, 2,
-                            BoundParams("roos", b, delta, r=r, s=step, ks=ks_i),
-                        )
-                        grow(ks_i, seen | fresh[i], i + 1)
+                        yield (delta + r, 2, (b, delta, -1, -1, -1, step, ks_i), r)
+                        yield from grow(ks_i, seen | fresh[i], i + 1)
 
-                grow((0,), base, 0)
-
-    params = best[3]
-    return CHECKERS[params.kind](D, params, code_id)
+                yield from grow((0,), base, 0)
 
 
 # -- linearized Reed-Solomon rank oracles -----------------------------------

@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import __version__
-from .bivar import BivarPoly, nu_map, ev_total
+from .bivar import BivarPoly, nu_map
 from .bounds import (
     CHECKERS,
     BoundCertificate,
@@ -23,6 +23,7 @@ from .bounds import (
     DefiningSetView,
     SearchLimits,
     best_bound_search,
+    common_zeros,
 )
 from .codes import (
     LinearCode,
@@ -83,11 +84,7 @@ class CodeSpec:
             nu_map([t.lift(v, self.code.level, "L") for v in row], t, "L")
             for row in self.code.G
         ]
-
-        def member(aval, bval):
-            return all(ev_total(f, aval, bval) == 0 for f in rows)
-
-        return DefiningSetView.from_predicate(t, member)
+        return DefiningSetView(t, None, common_zeros(t, rows))
 
 
 def parse_code_spec(text: str) -> CodeSpec:

@@ -332,8 +332,14 @@ def random_view(t, rng):
     return DefiningSetView.from_predicate(t, lambda av, bv: table[(av, bv)])
 
 
-def considered(search, D, limits, monkeypatch):
-    """The certificate `search` returns and every candidate it considered."""
+def as_candidate(p):
+    """A BoundParams as the search's candidate tuple."""
+    key = (p.b, p.delta, *(-1 if v is None else v for v in (p.t, p.t1, p.t2, p.s)), p.ks or ())
+    return (p.delta + p.r, ("bch", "ht", "roos").index(p.kind), key, p.r)
+
+
+def reference_considered(D, limits, monkeypatch):
+    """The reference's certificate and every candidate it built params for."""
     real, made = BoundParams, set()
 
     def record(*args, **kwargs):
@@ -342,17 +348,15 @@ def considered(search, D, limits, monkeypatch):
         return p
 
     with monkeypatch.context() as mp:
-        mp.setattr(bounds, "BoundParams", record)
         mp.setattr(sys.modules[__name__], "BoundParams", record)
-        cert = search(D, limits)
-    return (cert.params, cert.grid, cert.bound), made
+        cert = reference_search(D, limits)
+    return (cert.params, cert.grid, cert.bound), {as_candidate(p) for p in made}
 
 
 def same_candidates(D, monkeypatch, limits=SearchLimits()):
-    got, got_made = considered(best_bound_search, D, limits, monkeypatch)
-    want, want_made = considered(reference_search, D, limits, monkeypatch)
-    assert got == want
-    assert got_made == want_made
+    cert = best_bound_search(D, limits)
+    got = (cert.params, cert.grid, cert.bound), set(bounds._candidates(D, limits))
+    assert got == reference_considered(D, limits, monkeypatch)
 
 
 class TestSearchMatchesReference:
@@ -386,6 +390,19 @@ class TestSearchMatchesReference:
         for _ in range(20):
             limits = SearchLimits(rng.choice(caps), rng.choice(caps))
             same_candidates(random_view(t, rng), monkeypatch, limits)
+
+    def test_params_built_for_the_winner_only(self, example, monkeypatch):
+        _, _, _, D = example
+        made = []
+
+        def record(*args, **kwargs):
+            made.append(args)
+            return BoundParams(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "BoundParams", record)
+        cert = best_bound_search(D)
+        assert len(list(bounds._candidates(D, SearchLimits()))) > 1
+        assert made == [(cert.params.kind, cert.params.b, cert.params.delta)]
 
     def test_dense_n28_code(self):
         # 19 grid pairs: too slow for the mask loop, which tries 2^|offsets|

@@ -1,5 +1,6 @@
 """CLI surface: spec parsing, subcommands, exit codes, round trips."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -356,6 +357,31 @@ class TestErrorContract:
             assert self.error(capsys, "certify", "bch", "--code", path, *bch) == "ZeroCode"
 
 
+    @pytest.mark.parametrize("argv", [
+        "certify bch --b 0 --t 1 --delta 30000000",
+        "certify ht --b 0 --t1 1 --t2 1 --r 1 --delta 30000000",
+        "certify roos --b 0 --s 1 --k 0,1 --delta 30000000",
+        "certify ht --b 0 --t1 1 --t2 1 --r 30000000 --delta 2",
+        "verify",
+    ], ids=["bch", "ht", "roos", "ht-huge-r", "verify"])
+    def test_oversized_certificate(self, tmp_path, argv):
+        # more pairs than the 9 of the grid cannot be distinct; a child
+        # process, so that listing 30 million pairs fails by the timeout
+        path = spec_file(tmp_path, TOWER_SECTION + "\n[generator]\nf1 = x+1\nf2 = 1\n")
+        if argv == "verify":
+            claim = {"params": {"kind": "bch", "b": 0, "delta": 30000000, "t": 1},
+                     "bound": 30000000, "grid": []}
+            cert = tmp_path / "cert.json"
+            cert.write_text(json.dumps(claim))
+            argv = f"verify --certificate {cert}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sumrank.cli", *argv.split(), "--code", path],
+            capture_output=True, text=True, env=child_env(), timeout=20,
+        )
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr)["error"] == "PreconditionViolated"
+
+
 class TestImports:
     """Only the subcommands that enumerate codewords load numpy."""
 
@@ -387,3 +413,20 @@ class TestImports:
 
     def test_distance_loads_numpy(self, gen_spec_file):
         assert self.loads_numpy(["distance", "--code", gen_spec_file])
+
+
+class TestTracerBindings:
+    """Every library name the benchmark tracer rebinds exists, so a change
+    that drops one fails here instead of in every traced benchmark run."""
+
+    def test_bindings_resolve(self):
+        path = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        bindings = tracer.library_bindings() + tracer.cli_bindings()
+        missing = [
+            f"{module}.{attr}" for module, attr, _, _ in bindings
+            if not hasattr(importlib.import_module(module), attr)
+        ]
+        assert bindings and missing == []

@@ -1,4 +1,5 @@
-"""Hypothesis properties of the weights, the tower embeddings and the parsers.
+"""Hypothesis properties of the weights, the tower embeddings, the parsers and
+the defining-set tables.
 
 Every property runs derandomized, so the examples are the same on each run.
 """
@@ -7,9 +8,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumrank import BivarPoly, Partition, SkewPoly, build_tower, sumrank_weight
-from sumrank.cli import parse_bivar
+from sumrank import (
+    BivarPoly,
+    LinearCode,
+    Partition,
+    SkewPoly,
+    biv_mul,
+    build_tower,
+    ev_total,
+    find_normal_element,
+    nu_inverse,
+    nu_map,
+    primitive_ell_root,
+    sumrank_weight,
+)
+from sumrank.bounds import DefiningSetView, grid_points
+from sumrank.cli import CodeSpec, parse_bivar
 from sumrank.errors import ParseError
+from sumrank.product import corpus_f1, corpus_f2, product_generator_poly
 from sumrank.skew import parse_coeff, parse_poly
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
@@ -79,3 +95,49 @@ def test_coefficient_tokens(data, t, level, k):
     assert parse_coeff(str(v), gf) == v
     with pytest.raises(ParseError):
         parse_coeff(str(gf.order + v), gf)
+
+
+# a coprime tower, gcd(ell, m) = 2 and gcd(ell, m) = 3, with their corpora
+GRID_TOWERS = {}
+for spec in [(7, 1, 2, 1, 3, 2), (5, 1, 2, 1, 4, 2), (2, 1, 3, 2, 3, 3)]:
+    t = build_tower(*spec)
+    GRID_TOWERS[spec] = (t, corpus_f1(t), corpus_f2(t))
+
+
+def ev_total_view(t, polys):
+    """The oracle table: every pair evaluated on its own with `ev_total`."""
+    return DefiningSetView.from_predicate(
+        t, lambda av, bv: all(ev_total(f, av, bv) == 0 for f in polys)
+    )
+
+
+def generators(data, t, f1s, f2s):
+    """f1 * f2 drawn from the corpora, and r * f1 * f2 with r random."""
+    row = st.lists(elements(t.F), min_size=t.N, max_size=t.N)
+    r = BivarPoly.from_lists(t, "F", data.draw(st.lists(row, min_size=t.ell, max_size=t.ell)))
+    f1, f2 = data.draw(st.sampled_from(f1s)), data.draw(st.sampled_from(f2s))
+    g = product_generator_poly(t, f1, f2)
+    return g, biv_mul(r, g)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=30)
+@given(st.data(), st.sampled_from(sorted(GRID_TOWERS)))
+def test_grid_table_matches_per_pair_evaluation(data, spec):
+    t, f1s, f2s = GRID_TOWERS[spec]
+    (p1, g1), (p2, g2) = generators(data, t, f1s, f2s), generators(data, t, f1s, f2s)
+    for g in (g1, g2):
+        assert DefiningSetView.from_generator(t, g).table == ev_total_view(t, [g]).table
+    # a matrix spec's view holds the common zeros of its rows; the span of
+    # two product generators has rows that vanish on different pairs
+    code = LinearCode(t, [nu_inverse(p1), nu_inverse(p2)], Partition.equal(t.ell, t.N))
+    rows = [nu_map(row, t) for row in code.G]
+    if rows:
+        assert CodeSpec(t, code).defining_view().table == ev_total_view(t, rows).table
+
+
+@pytest.mark.parametrize("spec", sorted(GRID_TOWERS))
+def test_grid_points_cached_per_tower(spec):
+    t = GRID_TOWERS[spec][0]
+    fresh = (primitive_ell_root(t).in_level("L").val, find_normal_element(t).in_level("L").val)
+    assert grid_points(t) == fresh
+    assert grid_points(build_tower(*spec)) is grid_points(t)
