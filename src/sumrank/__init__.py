@@ -34,14 +34,6 @@ from .codes import (
 )
 from .errors import SumrankError
 from .skew import SkewPoly, ev_beta, right_divide, right_divides, right_evaluate, sigma_eval
-from .tower import (
-    FieldElement,
-    FieldTower,
-    build_tower,
-    find_normal_element,
-    frobenius_power,
-    is_normal,
-    primitive_ell_root,
-)
+from .tower import FieldTower, build_tower, find_normal_element, is_normal, primitive_ell_root
 
 __version__ = "1.0.0"

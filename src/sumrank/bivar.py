@@ -19,7 +19,7 @@ from .errors import (
     ZeroBeta,
 )
 from .skew import SkewPoly, right_evaluate
-from .tower import FieldElement, FieldTower
+from .tower import FieldTower
 
 
 @dataclass(frozen=True)
@@ -175,12 +175,13 @@ def nu_inverse(f: BivarPoly):
     return tuple(f.coeffs[i][j] for i in range(ell) for j in range(N))
 
 
-def ev_az(f: BivarPoly, a) -> SkewPoly:
-    """Substitute x := a (an ell-th root of unity in K) in every coefficient."""
+def ev_az(f: BivarPoly, a: int) -> SkewPoly:
+    """Substitute x := a (the L-encoding of an ell-th root of unity in K) in
+    every coefficient."""
     t = f.tower
     g = f.lift_to_L()
     gf = t.L
-    aval = _root_of_unity(t, a)
+    _root_of_unity(t, a)
     out = []
     for j in range(t.N):
         acc = 0
@@ -189,53 +190,40 @@ def ev_az(f: BivarPoly, a) -> SkewPoly:
             c = g.coeffs[i][j]
             if c:
                 acc = gf.add(acc, gf.mul(c, apow))
-            apow = gf.mul(apow, aval)
+            apow = gf.mul(apow, a)
         out.append(acc)
     return SkewPoly(t, "L", tuple(out))
 
 
-def ev_total(f: BivarPoly, a, beta) -> int:
-    """Ev at the pair (a, beta): x := a, then right-evaluate at
-    sigma(beta)/beta."""
+def ev_total(f: BivarPoly, a: int, beta: int) -> int:
+    """Ev at the pair (a, beta) of L-encodings: x := a, then right-evaluate
+    at sigma(beta)/beta."""
     t = f.tower
-    bval = _beta_in_L(t, beta)
+    if beta == 0:
+        raise ZeroBeta("beta must be nonzero")
     fz = ev_az(f, a)
-    point = t.L.div(t.sigma(bval), bval)
+    point = t.L.div(t.sigma(beta), beta)
     return right_evaluate(fz, point)
 
 
-def psi_map(c, tower: FieldTower, b, t1: int, t2: int):
+def psi_map(c, tower: FieldTower, b: int, t1: int, t2: int):
     """Blockwise sigma^{t1} followed by scaling block i by b^{i*t2}."""
     t = tower
     m = t.m
     if len(c) % m != 0:
         raise LengthMismatch(f"vector length {len(c)} is not a multiple of {m}")
-    bval = _root_of_unity(t, b)
+    _root_of_unity(t, b)
     gf = t.L
     out = []
     nblocks = len(c) // m
     for i in range(nblocks):
-        scale = gf.pow(bval, i * t2) if bval else 0
+        scale = gf.pow(b, i * t2)
         for j in range(m):
             out.append(gf.mul(t.sigma(c[i * m + j], t1), scale))
     return tuple(out)
 
 
-def _root_of_unity(t: FieldTower, a) -> int:
-    if isinstance(a, FieldElement):
-        aval = t.lift(a.val, a.level, "L")
-    else:
-        aval = a
-    if t.L.pow(aval, t.ell) != 1 or t.sigma(aval) != aval:
+def _root_of_unity(t: FieldTower, a: int) -> None:
+    """NotRootOfUnity unless the L-encoding `a` is an ell-th root of unity in K."""
+    if t.L.pow(a, t.ell) != 1 or t.sigma(a) != a:
         raise NotRootOfUnity(f"{a!r} is not an ell-th root of unity in K")
-    return aval
-
-
-def _beta_in_L(t: FieldTower, beta) -> int:
-    if isinstance(beta, FieldElement):
-        bval = t.lift(beta.val, beta.level, "L")
-    else:
-        bval = beta
-    if bval == 0:
-        raise ZeroBeta("beta must be nonzero")
-    return bval

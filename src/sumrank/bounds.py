@@ -33,19 +33,13 @@ from .errors import (
     ZeroCode,
 )
 from .skew import right_evaluate
-from .tower import (
-    FieldElement,
-    FieldTower,
-    find_normal_element,
-    is_normal,
-    primitive_ell_root,
-)
+from .tower import FieldTower, find_normal_element, is_normal, primitive_ell_root
 
 
 @lru_cache(maxsize=None)
 def grid_points(t: FieldTower) -> tuple[int, int]:
     """The L-encodings of the tower's fixed a and beta."""
-    return primitive_ell_root(t).in_level("L").val, find_normal_element(t).in_level("L").val
+    return primitive_ell_root(t), find_normal_element(t)
 
 
 def common_zeros(t: FieldTower, polys) -> list[list[bool]]:
@@ -394,14 +388,13 @@ def _candidates(D: DefiningSetView, limits: SearchLimits):
 # -- linearized Reed-Solomon rank oracles -----------------------------------
 
 
-def lrs_generator_matrix(t: FieldTower, a, beta, b: int, k: int):
+def lrs_generator_matrix(t: FieldTower, a: int, beta: int, b: int, k: int):
     """The k x n block matrix (D_0 | ... | D_{ell-1}) over L with
-    D_i[row][col] = sigma^{row+col}(beta) * a^{(b+row)*i}."""
-    aval = a.in_level("L").val if isinstance(a, FieldElement) else a
-    bval = beta.in_level("L").val if isinstance(beta, FieldElement) else beta
-    if t.L.pow(aval, t.ell) != 1 or (t.ell > 1 and t.L.mult_order(aval) != t.ell):
+    D_i[row][col] = sigma^{row+col}(beta) * a^{(b+row)*i}; a and beta are
+    L-encodings."""
+    if t.L.pow(a, t.ell) != 1 or (t.ell > 1 and t.L.mult_order(a) != t.ell):
         raise NotPrimitive("a must be a primitive ell-th root of unity")
-    if not is_normal(t, bval):
+    if not is_normal(t, beta):
         raise NotNormal("beta must be normal for L/K")
     if not 1 <= k <= t.n:
         raise PreconditionViolated("1 <= k <= n")
@@ -410,14 +403,14 @@ def lrs_generator_matrix(t: FieldTower, a, beta, b: int, k: int):
     for row in range(k):
         out = []
         for i in range(t.ell):
-            scale = L.pow(aval, (b + row) * i)
+            scale = L.pow(a, (b + row) * i)
             for col in range(t.m):
-                out.append(L.mul(t.sigma(bval, (row + col) % t.m), scale))
+                out.append(L.mul(t.sigma(beta, (row + col) % t.m), scale))
         rows.append(out)
     return rows
 
 
-def selection_rank_oracle(t: FieldTower, a, beta, selections, k_list, s: int,
+def selection_rank_oracle(t: FieldTower, a: int, beta: int, selections, k_list, s: int,
                           i: int, b: int = 0) -> int:
     """Exact rank over L of the stacked column-selection matrix A_i.
 
@@ -426,8 +419,6 @@ def selection_rank_oracle(t: FieldTower, a, beta, selections, k_list, s: int,
     stacked matrix twists row group u by sigma^{u*s} and scales block `blk`
     by a^{blk*u*s}.
     """
-    aval = a.in_level("L").val if isinstance(a, FieldElement) else a
-    bval = beta.in_level("L").val if isinstance(beta, FieldElement) else beta
     L = t.L
     if len(selections) != t.ell:
         raise PreconditionViolated("one selection list per block")
@@ -452,9 +443,9 @@ def selection_rank_oracle(t: FieldTower, a, beta, selections, k_list, s: int,
             row = []
             for blk, sel in enumerate(selections):
                 for idx in sel:
-                    alpha = L.mul(t.sigma(bval, idx), L.pow(aval, b * blk))
-                    entry = L.mul(t.sigma(alpha, k), L.pow(aval, k * blk))
-                    entry = L.mul(t.sigma(entry, u * s), L.pow(aval, blk * u * s))
+                    alpha = L.mul(t.sigma(beta, idx), L.pow(a, b * blk))
+                    entry = L.mul(t.sigma(alpha, k), L.pow(a, k * blk))
+                    entry = L.mul(t.sigma(entry, u * s), L.pow(a, blk * u * s))
                     row.append(entry)
             rows.append(row)
     return linalg.rank(rows, L)

@@ -81,7 +81,7 @@ class CodeSpec:
         if self.code.k == 0:
             raise ZeroCode("the zero code has no meaningful bound certificate")
         rows = [
-            nu_map([t.lift(v, self.code.level, "L") for v in row], t, "L")
+            nu_map([t.lift(v, "F", "L") for v in row], t, "L")
             for row in self.code.G
         ]
         return DefiningSetView(t, None, common_zeros(t, rows))
@@ -202,7 +202,9 @@ def cmd_tower(args) -> int:
 def cmd_code_build(args) -> int:
     spec = load_code_spec(args.code)
     payload = {"tower": spec.tower.describe(), "code": spec.code.describe()}
-    payload["code"]["cyclic_skew_cyclic"] = is_cyclic_skew_cyclic(spec.code)
+    # the shifts act on ell blocks of size N: other lengths have no answer
+    csc = is_cyclic_skew_cyclic(spec.code) if spec.code.n == spec.tower.n else None
+    payload["code"]["cyclic_skew_cyclic"] = csc
     if spec.generator is not None:
         payload["generator"] = str(spec.generator)
     _report(args, payload)

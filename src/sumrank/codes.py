@@ -1,10 +1,12 @@
 """Linear codes over F with an attached partition, plus the distance oracle.
 
-A LinearCode is canonically represented by the RREF of its generator matrix,
-so equality and membership are syntactic.  The exhaustive minimum-distance
-oracle delegates to the numpy kernel in `kernels` and is guarded by an
-enumeration budget (default 2^24, override via SUMRANK_BUDGET) that counts
-all |F|^k codewords, although the kernel visits one per F*-line.
+A LinearCode is an F-subspace of F^n, its entries F-encodings; the sum-rank
+weight of a vector adds the ranks over E of its blocks.  A code is
+canonically represented by the RREF of its generator matrix, so equality and
+membership are syntactic.  The exhaustive minimum-distance oracle delegates
+to the numpy kernel in `kernels` and is guarded by an enumeration budget
+(default 2^24, override via SUMRANK_BUDGET) that counts all |F|^k codewords,
+although the kernel visits one per F*-line.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from .bivar import BivarPoly, biv_mul, nu_inverse
 from .errors import (
     BudgetExceeded,
     CharacteristicDividesEll,
+    InvalidParameter,
     LengthMismatch,
+    LevelMismatch,
     UnequalParts,
     ZeroCode,
 )
@@ -59,21 +63,21 @@ class Partition:
         return Partition((n,))
 
 
-def block_rank(tower: FieldTower, block, level="F", sub="E") -> int:
-    """Rank over the subfield of the coordinate rows of the block entries."""
-    rows = [tower.coords(level, sub, v) for v in block if v != 0]
+def block_rank(tower: FieldTower, block) -> int:
+    """Rank over E of the coordinate rows of the block's F entries."""
+    rows = [tower.coords("F", "E", v) for v in block if v != 0]
     if not rows:
         return 0
-    return linalg.rank(rows, tower.gf(sub))
+    return linalg.rank(rows, tower.E)
 
 
-def sumrank_weight(tower, c, part: Partition, level="F", sub="E") -> int:
+def sumrank_weight(tower, c, part: Partition) -> int:
     if len(c) != part.n:
         raise LengthMismatch(f"vector length {len(c)} != partition sum {part.n}")
     w = 0
     off = 0
     for p in part.parts:
-        w += block_rank(tower, c[off : off + p], level, sub)
+        w += block_rank(tower, c[off : off + p])
         off += p
     return w
 
@@ -85,21 +89,22 @@ def hamming_weight(c) -> int:
 class LinearCode:
     """An F-linear subspace of F^n with a partition; canonical RREF rows."""
 
-    def __init__(self, tower: FieldTower, rows, partition: Partition, level="F"):
+    level = "F"  # the field the entries are encoded in
+
+    def __init__(self, tower: FieldTower, rows, partition: Partition):
         if rows and any(len(r) != partition.n for r in rows):
             raise LengthMismatch("generator rows do not match the partition length")
         self.tower = tower
-        self.level = level
         self.partition = partition
         self.n = partition.n
-        G, pivots = linalg.rref(rows, tower.gf(level))
+        G, pivots = linalg.rref(rows, tower.F)
         self.G = tuple(G)
         self.pivots = tuple(pivots)
         self.k = len(G)
 
     @property
     def field(self):
-        return self.tower.gf(self.level)
+        return self.tower.F
 
     def contains(self, vec) -> bool:
         if len(vec) != self.n:
@@ -154,10 +159,10 @@ class LinearCode:
         return f"LinearCode[n={self.n}, k={self.k}, parts={self.partition.parts}]"
 
     @staticmethod
-    def full_space(tower, partition, level="F"):
+    def full_space(tower, partition):
         n = partition.n
         rows = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-        return LinearCode(tower, rows, partition, level)
+        return LinearCode(tower, rows, partition)
 
 
 def _metric_partition(C: LinearCode, metric: str) -> Partition:
@@ -170,25 +175,25 @@ def _metric_partition(C: LinearCode, metric: str) -> Partition:
     raise ValueError(f"unknown metric {metric!r}")
 
 
-_tables_cache = {}
-_distance_cache = {}
-
-
-def _tables_for(tower, level, sub):
-    key = (tower, level, sub)
-    if key not in _tables_cache:
-        _tables_cache[key] = FieldTables(tower, level, sub)
-    return _tables_cache[key]
+_tables_cache = {}  # tower -> FieldTables
+_distance_cache = {}  # (tower, parts, G) -> distance
 
 
 def enumeration_budget() -> int:
+    """SUMRANK_BUDGET as a non-negative integer, DEFAULT_BUDGET when unset."""
     env = os.environ.get("SUMRANK_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(env)
+    except ValueError:
+        budget = -1  # refused below, as a negative value is
+    if budget < 0:
+        raise InvalidParameter(f"SUMRANK_BUDGET must be a non-negative integer, got {env!r}")
+    return budget
 
 
-def min_distance_bruteforce(
-    C: LinearCode, metric: str = "sumrank", sub: str = "E", budget: int | None = None
-) -> int:
+def min_distance_bruteforce(C: LinearCode, metric: str = "sumrank", budget: int | None = None) -> int:
     """Exact minimum weight over all nonzero codewords."""
     if C.k == 0:
         raise ZeroCode("minimum distance of the zero code is undefined")
@@ -198,11 +203,12 @@ def min_distance_bruteforce(
     if needed > budget:
         raise BudgetExceeded(needed, budget)
     part = _metric_partition(C, metric)
-    key = (C.tower, C.level, sub, part.parts, C.G)
+    key = (C.tower, part.parts, C.G)
     if key in _distance_cache:
         return _distance_cache[key]
-    tables = _tables_for(C.tower, C.level, sub)
-    d = min_weight(C.G, tables, part.parts)
+    if C.tower not in _tables_cache:
+        _tables_cache[C.tower] = FieldTables(C.tower)
+    d = min_weight(C.G, _tables_cache[C.tower], part.parts)
     _distance_cache[key] = d
     return d
 
@@ -218,7 +224,7 @@ def rho_shift(c, part: Partition):
     return tuple(v for b in blocks for v in b)
 
 
-def phi_shift(c, part: Partition, t: FieldTower, level="F"):
+def phi_shift(c, part: Partition, t: FieldTower):
     """Twisted in-block rotation applied to every block."""
     N = part.equal_part()
     ell = len(part.parts)
@@ -227,34 +233,40 @@ def phi_shift(c, part: Partition, t: FieldTower, level="F"):
     out = []
     for i in range(ell):
         b = c[i * N : (i + 1) * N]
-        out.extend(t.twist(level, v, 1) for v in (b[-1],) + tuple(b[:-1]))
+        out.extend(t.theta(v) for v in (b[-1],) + tuple(b[:-1]))
     return tuple(out)
 
 
 def is_cyclic_skew_cyclic(C: LinearCode) -> bool:
     """Stability of the code under the block shift and the twisted shift.
 
+    Both act on the tower's ell blocks of size N, whatever partition the
+    code's weight uses; a code of another length is a LengthMismatch.
     Checking the generators suffices: both operators are invertible, so
     containment of the generator images is containment of the code.
     """
-    part = C.partition
-    part.equal_part()
+    t = C.tower
+    if C.n != t.n:
+        raise LengthMismatch(f"length {C.n} is not ell * N = {t.n}")
+    part = Partition.equal(t.ell, t.N)
     for row in C.G:
         if not C.contains(rho_shift(row, part)):
             return False
-        if not C.contains(phi_shift(row, part, C.tower, C.level)):
+        if not C.contains(phi_shift(row, part, t)):
             return False
     return True
 
 
 def code_from_skew_generator(g: BivarPoly, t: FieldTower) -> LinearCode:
     """The code of the left ideal generated by g, via the full monomial orbit."""
+    if g.level != "F":
+        raise LevelMismatch("a code's generator has coefficients in F")
     if t.ell % t.p == 0:
         raise CharacteristicDividesEll(f"char {t.p} divides ell = {t.ell}")
     rows = []
     for i in range(t.ell):
         for j in range(t.N):
-            mono = BivarPoly.monomial(t, g.level, i, j)
+            mono = BivarPoly.monomial(t, "F", i, j)
             rows.append(list(nu_inverse(biv_mul(mono, g))))
     part = Partition.equal(t.ell, t.N)
-    return LinearCode(t, rows, part, g.level)
+    return LinearCode(t, rows, part)

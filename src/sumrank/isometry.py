@@ -90,9 +90,9 @@ def cycle_matrix(n):
     )
 
 
-def _apply_matrix(tower, block, M, level="F"):
+def _apply_matrix(tower, block, M):
     """Row vector times a matrix over E (entries lifted into F)."""
-    gf = tower.gf(level)
+    gf = tower.F
     n = len(block)
     out = []
     for col in range(len(M[0])):
@@ -100,12 +100,12 @@ def _apply_matrix(tower, block, M, level="F"):
         for j in range(n):
             mij = M[j][col]
             if mij:
-                acc = gf.add(acc, gf.mul(block[j], tower.lift(mij, "E", level)))
+                acc = gf.add(acc, gf.mul(block[j], tower.lift(mij, "E", "F")))
         out.append(acc)
     return tuple(out)
 
 
-def act_sumrank(g: SumRankIsometry, c, part: Partition, tower: FieldTower, level="F"):
+def act_sumrank(g: SumRankIsometry, c, part: Partition, tower: FieldTower):
     """The semilinear action: block i of the result is
     frob^t(a_i * c^(perm^{-1}(i))) * M_i."""
     g.check_shapes(part, tower)
@@ -118,22 +118,22 @@ def act_sumrank(g: SumRankIsometry, c, part: Partition, tower: FieldTower, level
     inv = [0] * ell
     for i, pi in enumerate(g.perm):
         inv[pi] = i
-    gf = tower.gf(level)
+    gf = tower.F
     out = []
     for i in range(ell):
         src = inv[i]
         block = c[offs[src] : offs[src + 1]]
         scaled = tuple(gf.mul(g.scalars[i], v) for v in block)
         twisted = tuple(gf.frob(v, g.theta_pow) for v in scaled)
-        out.extend(_apply_matrix(tower, twisted, g.matrices[i], level))
+        out.extend(_apply_matrix(tower, twisted, g.matrices[i]))
     return tuple(out)
 
 
-def act_hamming(g: HammingIsometry, c, tower: FieldTower, level="F"):
+def act_hamming(g: HammingIsometry, c, tower: FieldTower):
     ell = len(c)
     if len(g.scalars) != ell or len(g.perm) != ell:
         raise ShapeMismatch("isometry does not match the vector length")
-    gf = tower.gf(level)
+    gf = tower.F
     inv = [0] * ell
     for i, pi in enumerate(g.perm):
         inv[pi] = i
@@ -142,15 +142,14 @@ def act_hamming(g: HammingIsometry, c, tower: FieldTower, level="F"):
     )
 
 
-def act_rank(g: RankIsometry, c, tower: FieldTower, level="F"):
-    gf = tower.gf(level)
-    twisted = tuple(gf.frob(v, g.theta_pow) for v in c)
-    return _apply_matrix(tower, twisted, g.matrix, level)
+def act_rank(g: RankIsometry, c, tower: FieldTower):
+    twisted = tuple(tower.F.frob(v, g.theta_pow) for v in c)
+    return _apply_matrix(tower, twisted, g.matrix)
 
 
 def apply_to_code(g: SumRankIsometry, C: LinearCode) -> LinearCode:
-    rows = [list(act_sumrank(g, r, C.partition, C.tower, C.level)) for r in C.G]
-    return LinearCode(C.tower, rows, C.partition, C.level)
+    rows = [list(act_sumrank(g, r, C.partition, C.tower)) for r in C.G]
+    return LinearCode(C.tower, rows, C.partition)
 
 
 def is_automorphism(g: SumRankIsometry, C: LinearCode) -> bool:
@@ -229,7 +228,7 @@ def min_dist_via_block_diagonal(C: LinearCode, budget: int | None = None) -> int
             out = []
             off = 0
             for Ai, p in zip(combo, C.partition.parts):
-                out.extend(_apply_matrix(t, cw[off : off + p], Ai, C.level))
+                out.extend(_apply_matrix(t, cw[off : off + p], Ai))
                 off += p
             w = hamming_weight(out)
             if best is None or w < best:

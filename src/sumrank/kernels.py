@@ -47,13 +47,12 @@ def _arithmetic(gf):
 
 
 class FieldTables:
-    """Dense lookup tables for one (field, subfield) pair."""
+    """Dense lookup tables for F and its subfield E."""
 
-    def __init__(self, tower, level="F", sub="E"):
+    def __init__(self, tower):
         import numpy as np
 
-        big = tower.gf(level)
-        small = tower.gf(sub)
+        big, small = tower.F, tower.E
         if big.order > ORDER_CAP:
             raise FieldTooLarge(
                 f"enumeration tables capped at order {ORDER_CAP}, got {big.order}"
@@ -62,7 +61,7 @@ class FieldTables:
         self.mulF, self.addF, _, _ = (x.astype(i16) for x in _arithmetic(big))
         self.mulS, addS, negS, self.invS = (x.astype(i16) for x in _arithmetic(small))
         self.subS = addS[:, negS]
-        self.coord = np.array([tower.coords(level, sub, a) for a in range(big.order)], i16)
+        self.coord = np.array([tower.coords("F", "E", a) for a in range(big.order)], i16)
         self.rank_tables = {}  # block size b -> ranks of all |F|^b blocks
 
     def ranks(self, blocks):

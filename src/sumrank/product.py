@@ -21,6 +21,7 @@ from .errors import (
     FieldMismatch,
     GeneratorNotOverE,
     LengthMismatch,
+    LevelMismatch,
     NotADivisor,
     PreconditionViolated,
 )
@@ -29,9 +30,9 @@ from .skew import SkewPoly, right_divides, sigma_eval
 from .tower import FieldTower, primitive_ell_root
 
 
-def tensor_vector(tower: FieldTower, u, v, level="F"):
+def tensor_vector(tower: FieldTower, u, v):
     """(u_0*v | u_1*v | ... | u_{ell-1}*v)."""
-    gf = tower.gf(level)
+    gf = tower.F
     if not u or not v:
         raise LengthMismatch("factors must be nonempty vectors")
     return tuple(gf.mul(a, b) for a in u for b in v)
@@ -64,19 +65,19 @@ class ProductCode:
 
 
 def tensor_code(C1: LinearCode, C2: LinearCode, f1=None, f2=None) -> ProductCode:
-    if C1.tower != C2.tower or C1.level != C2.level:
+    if C1.tower != C2.tower:
         raise FieldMismatch("factors must live over the same field")
     t = C1.tower
     ell, N = C1.n, C2.n
-    rows = [list(tensor_vector(t, u, v, C1.level)) for u in C1.G for v in C2.G]
+    rows = [list(tensor_vector(t, u, v)) for u in C1.G for v in C2.G]
     part = Partition.equal(ell, N)
-    code = LinearCode(t, rows, part, C1.level)
+    code = LinearCode(t, rows, part)
     return ProductCode(C1, C2, code, f1, f2)
 
 
-def cyclic_code_from_poly(t: FieldTower, f1, level="F") -> LinearCode:
+def cyclic_code_from_poly(t: FieldTower, f1) -> LinearCode:
     """The [ell, ell - deg f1] cyclic code generated by f1 | x^ell - 1."""
-    gf = t.gf(level)
+    gf = t.F
     f1 = trim(f1)
     if not divides(f1, xl_minus_one(t.ell, gf), gf):
         raise NotADivisor("f1 must divide x^ell - 1")
@@ -87,14 +88,16 @@ def cyclic_code_from_poly(t: FieldTower, f1, level="F") -> LinearCode:
         for j, c in enumerate(f1):
             row[(i + j) % ell] = gf.add(row[(i + j) % ell], c)
         rows.append(row)
-    return LinearCode(t, rows, Partition.hamming(ell), level)
+    return LinearCode(t, rows, Partition.hamming(ell))
 
 
 def skew_code_from_poly(t: FieldTower, f2: SkewPoly) -> LinearCode:
     """The [N, N - deg f2] skew-cyclic code generated by f2 | z^N - 1."""
-    if not right_divides(f2, SkewPoly.z_pow_minus_one(t, t.N, f2.level)):
+    if f2.level != "F":
+        raise LevelMismatch("a code's generator has coefficients in F")
+    if not right_divides(f2, SkewPoly.z_pow_minus_one(t, t.N)):
         raise NotADivisor("f2 must be a right divisor of z^N - 1")
-    gf = t.gf(f2.level)
+    gf = t.F
     N = t.N
     rows = []
     for i in range(N):
@@ -102,20 +105,20 @@ def skew_code_from_poly(t: FieldTower, f2: SkewPoly) -> LinearCode:
         row = [0] * N
         for j, c in enumerate(f2.coeffs):
             pos = (i + j) % N
-            row[pos] = gf.add(row[pos], t.twist(f2.level, c, i))
+            row[pos] = gf.add(row[pos], t.theta(c, i))
         rows.append(row)
-    return LinearCode(t, rows, Partition.rank(N), f2.level)
+    return LinearCode(t, rows, Partition.rank(N))
 
 
-def product_generator_poly(t: FieldTower, f1, f2: SkewPoly, level="F") -> BivarPoly:
+def product_generator_poly(t: FieldTower, f1, f2: SkewPoly) -> BivarPoly:
     """g = f1(x) * f2(z) in the bivariate quotient ring."""
     if t.ell % t.p == 0:
         raise CharacteristicDividesEll(f"char {t.p} divides ell = {t.ell}")
-    gf = t.gf(level)
+    gf = t.F
     f1 = trim(f1)
     if not divides(f1, xl_minus_one(t.ell, gf), gf):
         raise NotADivisor("f1 must divide x^ell - 1")
-    if not right_divides(f2, SkewPoly.z_pow_minus_one(t, t.N, level)):
+    if not right_divides(f2, SkewPoly.z_pow_minus_one(t, t.N)):
         raise NotADivisor("f2 must be a right divisor of z^N - 1")
     grid = [[0] * t.N for _ in range(t.ell)]
     for i, a in enumerate(f1):
@@ -124,22 +127,18 @@ def product_generator_poly(t: FieldTower, f1, f2: SkewPoly, level="F") -> BivarP
                 grid[i % t.ell][j % t.N] = gf.add(
                     grid[i % t.ell][j % t.N], gf.mul(a, b)
                 )
-    return BivarPoly.from_lists(t, level, grid)
+    return BivarPoly.from_lists(t, "F", grid)
 
 
-def _coeffs_over_E(t: FieldTower, coeffs, level="F") -> bool:
-    e_in_f = {t.lift(v, "E", level) for v in range(t.E.order)}
-    return all(c in e_in_f for c in coeffs)
-
-
-def product_defining_set(t: FieldTower, f1, f2: SkewPoly, level="F"):
+def product_defining_set(t: FieldTower, f1, f2: SkewPoly):
     """Membership predicate on L-encodings: (a, beta) is a member iff
     f1(a) = 0 or the sigma-evaluation of f2 at beta vanishes."""
     f1 = trim(f1)
-    if not _coeffs_over_E(t, f1, level):
+    e_in_f = {t.lift(v, "E", "F") for v in range(t.E.order)}
+    if any(c not in e_in_f for c in f1):
         raise GeneratorNotOverE("f1 must have coefficients in E")
     L = t.L
-    f1_L = [t.lift(c, level, "L") for c in f1]
+    f1_L = [t.lift(c, "F", "L") for c in f1]
     f2_L = f2.lift_to_L()
 
     def member(aval: int, bval: int) -> bool:
@@ -148,8 +147,8 @@ def product_defining_set(t: FieldTower, f1, f2: SkewPoly, level="F"):
     return member
 
 
-def product_code_from_polys(t: FieldTower, f1, f2: SkewPoly, level="F") -> ProductCode:
-    C1 = cyclic_code_from_poly(t, f1, level)
+def product_code_from_polys(t: FieldTower, f1, f2: SkewPoly) -> ProductCode:
+    C1 = cyclic_code_from_poly(t, f1)
     C2 = skew_code_from_poly(t, f2)
     return tensor_code(C1, C2, trim(f1), f2)
 
@@ -169,7 +168,7 @@ def product_bound(P: ProductCode, kind: str, p: BoundParams, budget=None):
     t = P.code.tower
     if P.f1 is None or P.f2 is None:
         raise PreconditionViolated("product bounds need the generator polynomials")
-    member = product_defining_set(t, P.f1, P.f2, P.code.level)
+    member = product_defining_set(t, P.f1, P.f2)
     D = DefiningSetView.from_predicate(t, member)
     cert = CHECKERS[kind](D, p, P.code.code_id())
     dH, dR = factor_distances(P, budget)
@@ -183,42 +182,43 @@ def product_bound(P: ProductCode, kind: str, p: BoundParams, budget=None):
     }
 
 
-def corpus_f1(t: FieldTower, level="F"):
-    """All monic divisors of x^ell - 1 over E, lifted to the working field.
+def corpus_f1(t: FieldTower):
+    """All monic divisors of x^ell - 1 over E, lifted to F.
 
-    Each is a product of minimal polynomials prod_(j in C) (x - a^j), a a
-    primitive ell-th root of unity in K and C a cyclotomic coset of |E| mod
-    ell.  Ordered by degree, then by the lower coefficients (E-encodings) as
-    base-|E| digits, low first.
+    Each is a product of minimal polynomials prod_(j in C) (x - a^j), a the
+    primitive ell-th root of unity of `primitive_ell_root` and C a
+    cyclotomic coset of |E| mod ell; they are built in L.  Ordered by
+    degree, then by the lower coefficients (E-encodings) as base-|E| digits,
+    low first.
     """
-    E, K, q, ell = t.E, t.K, t.E.order, t.ell
-    a = primitive_ell_root(t).val
-    from_K = {t.lift(v, "E", "K"): v for v in range(q)}
+    E, L, q, ell = t.E, t.L, t.E.order, t.ell
+    a = primitive_ell_root(t)
+    from_L = {t.lift(v, "E", "L"): v for v in range(q)}
     divs = [(1,)]
     for coset in {frozenset(i * q**j % ell for j in range(t.h)) for i in range(ell)}:
         M = (1,)
         for j in coset:
-            M = mul(M, (K.neg(K.pow(a, j)), 1), K)
-        divs += [mul(d, tuple(from_K[c] for c in M), E) for d in divs]
+            M = mul(M, (L.neg(L.pow(a, j)), 1), L)
+        divs += [mul(d, tuple(from_L[c] for c in M), E) for d in divs]
     divs.sort(key=lambda c: (len(c), sum(v * q**i for i, v in enumerate(c[:-1]))))
-    return [tuple(t.lift(c, "E", level) for c in d) for d in divs]
+    return [tuple(t.lift(c, "E", "F") for c in d) for d in divs]
 
 
-def corpus_f2(t: FieldTower, level="F"):
+def corpus_f2(t: FieldTower):
     """All monic right divisors of z^N - 1, for N = m: the minimal skew
-    polynomials of the subspaces of the working field over the twist's fixed
-    field (Boucher-Ulmer; Lam-Leroy).  For v outside the kernel V of
-    `sigma_eval(f, .)` and u = sigma_eval(f, v), (z - twist(u)/u) * f is the
+    polynomials of the subspaces of F over E, the fixed field of theta
+    (Boucher-Ulmer; Lam-Leroy).  For v outside the kernel V of
+    `sigma_eval(f, .)` and u = sigma_eval(f, v), (z - theta(u)/u) * f is the
     polynomial of V + <v>; the lattice grows from f = 1, V = {0}.  Ordered
     by degree, then by the lower coefficients as a tuple, c_0 first.
     """
     if t.N != t.m:
         raise PreconditionViolated("the divisors of z^N - 1 are enumerated for N = m only")
-    gf = t.gf(level)
-    layer = found = {SkewPoly.one(t, level)}
+    gf = t.F
+    layer = found = {SkewPoly.one(t)}
     while layer:
         layer = {
-            SkewPoly(t, level, (gf.neg(gf.div(t.twist(level, u), u)), 1)) * f
+            SkewPoly(t, "F", (gf.neg(gf.div(t.theta(u), u)), 1)) * f
             for f in layer
             for u in {sigma_eval(f, v) for v in range(1, gf.order)} - {0}
         }

@@ -20,7 +20,7 @@ from .errors import (
     ZeroBeta,
 )
 from .poly import trim
-from .tower import FieldElement, FieldTower
+from .tower import FieldTower
 
 
 @dataclass(frozen=True)
@@ -162,57 +162,43 @@ def right_divides(g: SkewPoly, f: SkewPoly) -> bool:
     return right_divide(f, g)[1].is_zero()
 
 
-def right_evaluate(f: SkewPoly, a) -> int:
+def right_evaluate(f: SkewPoly, a: int) -> int:
     """f(a) as in f = q*(z - a) + f(a), via the norm product chain."""
-    aval = _coerce(f, a)
     gf = f.field
     acc = 0
     norm = 1  # N_0(a) = 1, N_{i+1}(a) = twist^i(a) * N_i(a)
     for i, c in enumerate(f.coeffs):
         if c:
             acc = gf.add(acc, gf.mul(c, norm))
-        norm = gf.mul(f._twist(aval, i), norm)
+        norm = gf.mul(f._twist(a, i), norm)
     return acc
 
 
-def right_evaluate_by_division(f: SkewPoly, a) -> int:
+def right_evaluate_by_division(f: SkewPoly, a: int) -> int:
     """Division-route oracle for right_evaluate."""
-    aval = _coerce(f, a)
     gf = f.field
-    lin = SkewPoly(f.tower, f.level, (gf.neg(aval), 1))
+    lin = SkewPoly(f.tower, f.level, (gf.neg(a), 1))
     _, r = right_divide(f, lin)
     return r.coeff(0)
 
 
-def sigma_eval(f: SkewPoly, beta) -> int:
+def sigma_eval(f: SkewPoly, beta: int) -> int:
     """The associated twisted-polynomial value sum_i f_i * twist^i(beta)."""
-    bval = _coerce(f, beta, allow_zero=True)
     gf = f.field
     acc = 0
     for i, c in enumerate(f.coeffs):
         if c:
-            acc = gf.add(acc, gf.mul(c, f._twist(bval, i)))
+            acc = gf.add(acc, gf.mul(c, f._twist(beta, i)))
     return acc
 
 
-def ev_beta(f: SkewPoly, beta) -> int:
+def ev_beta(f: SkewPoly, beta: int) -> int:
     """sigma_eval(f, beta) * beta^{-1}; equals right_evaluate at
     twist(beta)/beta."""
-    bval = _coerce(f, beta)
-    if bval == 0:
+    if beta == 0:
         raise ZeroBeta("beta must be nonzero")
     gf = f.field
-    return gf.mul(sigma_eval(f, bval), gf.inv(bval))
-
-
-def _coerce(f: SkewPoly, a, allow_zero=True) -> int:
-    if isinstance(a, FieldElement):
-        if a.tower != f.tower:
-            raise TowerMismatch("evaluation point from a different tower")
-        a = f.tower.lift(a.val, a.level, f.level)
-    if not allow_zero and a == 0:
-        raise ZeroBeta("beta must be nonzero")
-    return a
+    return gf.mul(sigma_eval(f, beta), gf.inv(beta))
 
 
 def reduce_mod_zN(f: SkewPoly) -> SkewPoly:

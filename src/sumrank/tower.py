@@ -4,11 +4,14 @@ E = GF(p^e), F = GF(p^{e*m}), K = GF(p^{e*h}), L = GF(p^{e*m*h}) with
 gcd(m, h) = 1, so that F and K intersect in E inside L.  The automorphism
 `sigma` is the |K|-power Frobenius generating Gal(L/K); `theta` is its
 restriction to F, realized directly on F as the |E|^h-power map.
+
+Field elements are plain integers: the encoding of an element at a level
+the caller names, moved between levels by `lift`.  The grid points a and
+beta of the paper are handed out as L-encodings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from . import linalg
@@ -21,8 +24,6 @@ from .errors import (
     RootsOfUnityAbsent,
 )
 from .gf import GF, _undigits, check_order, field, find_embedding, is_prime
-
-_LEVEL_RANK = {"E": 0, "F": 1, "K": 1, "L": 2}
 
 
 class FieldTower:
@@ -55,15 +56,6 @@ class FieldTower:
     def gf(self, level: str) -> GF:
         return self._fields[level]
 
-    def join(self, a: str, b: str) -> str:
-        if a == b:
-            return a
-        if _LEVEL_RANK[a] > _LEVEL_RANK[b]:
-            a, b = b, a
-        if a == "E":
-            return b
-        return "L"
-
     def lift(self, val: int, frm: str, to: str) -> int:
         """Move an element up the tower along the canonical embeddings, which
         map gen^k to image^k."""
@@ -86,12 +78,11 @@ class FieldTower:
         return self.F.frob(val, (self.e_deg * self.h * i) % self.F.deg)
 
     def twist(self, level: str, val: int, i: int = 1) -> int:
+        """sigma^i on L-encodings, theta^i on F-encodings."""
         if level == "L":
             return self.sigma(val, i)
         if level == "F":
             return self.theta(val, i)
-        if level in ("E", "K"):
-            return val
         raise LevelMismatch(level)
 
     # -- subfield coordinates ------------------------------------------------
@@ -169,71 +160,6 @@ class FieldTower:
         )
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of one tower level; arithmetic lifts to a common level."""
-
-    tower: FieldTower
-    level: str
-    val: int
-
-    def _pair(self, other):
-        if isinstance(other, int):
-            if not 0 <= other < self.tower.p:
-                raise LevelMismatch(f"bare int {other} is not a prime-field constant")
-            other = FieldElement(self.tower, "E", other)
-        if other.tower != self.tower:
-            raise LevelMismatch("elements from different towers")
-        lvl = self.tower.join(self.level, other.level)
-        a = self.tower.lift(self.val, self.level, lvl)
-        b = other.tower.lift(other.val, other.level, lvl)
-        return lvl, a, b
-
-    def __add__(self, other):
-        lvl, a, b = self._pair(other)
-        return FieldElement(self.tower, lvl, self.tower.gf(lvl).add(a, b))
-
-    def __sub__(self, other):
-        lvl, a, b = self._pair(other)
-        return FieldElement(self.tower, lvl, self.tower.gf(lvl).sub(a, b))
-
-    def __mul__(self, other):
-        lvl, a, b = self._pair(other)
-        return FieldElement(self.tower, lvl, self.tower.gf(lvl).mul(a, b))
-
-    def __truediv__(self, other):
-        lvl, a, b = self._pair(other)
-        return FieldElement(self.tower, lvl, self.tower.gf(lvl).div(a, b))
-
-    def __neg__(self):
-        return FieldElement(self.tower, self.level, self.tower.gf(self.level).neg(self.val))
-
-    def __pow__(self, e):
-        return FieldElement(self.tower, self.level, self.tower.gf(self.level).pow(self.val, e))
-
-    def inverse(self):
-        return FieldElement(self.tower, self.level, self.tower.gf(self.level).inv(self.val))
-
-    def in_level(self, lvl: str) -> "FieldElement":
-        return FieldElement(self.tower, lvl, self.tower.lift(self.val, self.level, lvl))
-
-    def __eq__(self, other):
-        if not isinstance(other, (FieldElement, int)):
-            return NotImplemented
-        lvl, a, b = self._pair(other)
-        return a == b
-
-    def __hash__(self):
-        # equal elements of different levels share their image in L
-        return hash(self.tower.lift(self.val, self.level, "L"))
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __repr__(self):
-        return f"<{self.level}:{self.val}>"
-
-
 def build_tower(p: int, e_deg: int, m: int, h: int, ell: int, N: int) -> FieldTower:
     """Construct and validate the tower; see class docstring for the layout."""
     if m < 1 or h < 1 or e_deg < 1 or ell < 1 or N < 1:
@@ -251,12 +177,9 @@ def build_tower(p: int, e_deg: int, m: int, h: int, ell: int, N: int) -> FieldTo
     return FieldTower(p, e_deg, m, h, ell, N)
 
 
-def primitive_ell_root(t: FieldTower) -> FieldElement:
-    """A fixed primitive ell-th root of unity in K."""
-    if t.ell == 1:
-        return FieldElement(t, "K", 1)
-    val = t.K.pow(t.K.gen, (t.K.order - 1) // t.ell)
-    return FieldElement(t, "K", val)
+def primitive_ell_root(t: FieldTower) -> int:
+    """The L-encoding of a fixed primitive ell-th root of unity in K."""
+    return t.lift(t.K.pow(t.K.gen, (t.K.order - 1) // t.ell), "K", "L")
 
 
 def is_normal(t: FieldTower, beta: int) -> bool:
@@ -273,16 +196,9 @@ def is_normal(t: FieldTower, beta: int) -> bool:
     return linalg.rank(rows, t.L) == m
 
 
-def find_normal_element(t: FieldTower) -> FieldElement:
+def find_normal_element(t: FieldTower) -> int:
     """First element of L (by encoding) normal for L/K."""
     for val in range(1, t.L.order):
         if is_normal(t, val):
-            return FieldElement(t, "L", val)
+            return val
     raise AssertionError("no normal element found")
-
-
-def frobenius_power(t: FieldTower, x: FieldElement, i: int) -> FieldElement:
-    """sigma^i on L-level elements, theta^i on F-level; K and E are fixed."""
-    if x.tower != t:
-        raise LevelMismatch("element from a different tower")
-    return FieldElement(t, x.level, t.twist(x.level, x.val, i))

@@ -77,7 +77,7 @@ class TestEvaluation:
     def test_unit_has_no_zeros(self, tower9):
         t = tower9
         one = BivarPoly.one(t)
-        a = primitive_ell_root(t).in_level("L").val
+        a = primitive_ell_root(t)
         for i in range(t.ell):
             for beta in (1, 2, 63):
                 assert ev_total(one, t.L.pow(a, i), beta) != 0
@@ -85,7 +85,7 @@ class TestEvaluation:
     def test_x_factor_annihilates(self, tower9):
         # g = x - a_elt vanishes at x := a_elt for every beta
         t = tower9
-        a = primitive_ell_root(t).in_level("L").val
+        a = primitive_ell_root(t)
         # build (x + a) over L directly (char 2)
         grid = [[0] * t.N for _ in range(t.ell)]
         grid[0][0] = a
@@ -99,7 +99,7 @@ class TestEvaluation:
 class TestPsiMap:
     def test_psi_shifts_and_scales(self, tower9):
         t = tower9
-        a = primitive_ell_root(t).in_level("L").val
+        a = primitive_ell_root(t)
         rng = random.Random(41)
         c = tuple(rng.randrange(t.L.order) for _ in range(9))
         out = psi_map(c, t, a, 1, 2)

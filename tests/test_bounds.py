@@ -64,7 +64,7 @@ def example(tower9):
 class TestDefiningSet:
     def test_x_factor_annihilates_for_all_beta(self, tower9):
         t = tower9
-        a = primitive_ell_root(t).in_level("L").val
+        a = primitive_ell_root(t)
         grid = [[0] * t.N for _ in range(t.ell)]
         grid[0][0] = a
         grid[1][0] = 1  # g = x + a over L
@@ -321,8 +321,8 @@ def reference_search(D, limits=SearchLimits(), code_id=""):
 
 def random_view(t, rng):
     """A defining-set view whose ell x m membership table is random."""
-    a = primitive_ell_root(t).in_level("L").val
-    beta = find_normal_element(t).in_level("L").val
+    a = primitive_ell_root(t)
+    beta = find_normal_element(t)
     density = rng.choice((0.3, 0.6, 0.8, 0.95))
     table = {
         (t.L.pow(a, i), t.sigma(beta, j)): rng.random() < density
@@ -433,8 +433,7 @@ class TestLrsMatrix:
         a = primitive_ell_root(t)
         beta = find_normal_element(t)
         M = lrs_generator_matrix(t, a, beta, 0, 1)
-        bval = beta.in_level("L").val
-        assert list(M[0]) == [t.sigma(bval, j) for j in range(t.m)]
+        assert list(M[0]) == [t.sigma(beta, j) for j in range(t.m)]
 
     def test_rejects_non_normal_and_non_primitive(self, tower_ell1):
         t = tower_ell1

@@ -197,6 +197,37 @@ class TestSubcommands:
         assert code == 3
         assert "BudgetExceeded" in err
 
+    @pytest.mark.parametrize("value", ["abc", "1e9", "-5"])
+    def test_malformed_budget_exit_2(self, capsys, gen_spec_file, monkeypatch, value):
+        monkeypatch.setenv("SUMRANK_BUDGET", value)
+        code, _, err = run(capsys, "distance", "--code", gen_spec_file)
+        assert code == 2
+        report = json.loads(err)
+        assert report["error"] == "InvalidParameter"
+        assert "SUMRANK_BUDGET" in report["message"]
+
+    @pytest.mark.parametrize("parts", ["", "9", "4 5"])
+    def test_csc_flag_uses_the_tower_blocks(self, capsys, tmp_path, parts):
+        """rho and phi act on ell blocks of size N whatever the weight
+        partition, so the rows of a CSC code stay CSC under any of them."""
+        G = parse_code_spec(TOWER_SECTION + "\n[generator]\ng = 3 + x^2*z^2\n").code.G
+        rows = "; ".join(" ".join(map(str, r)) for r in G)
+        text = TOWER_SECTION + f"\n[matrix]\nrows = {rows}\n"
+        path = spec_file(tmp_path, text + (f"parts = {parts}\n" if parts else ""))
+        code, out, _ = run(capsys, "code", "build", "--code", path)
+        assert code == 0
+        data = json.loads(out)["code"]
+        assert (data["k"], data["cyclic_skew_cyclic"]) == (6, True)
+        code, out, _ = run(capsys, "distance", "--code", path)
+        assert code == 0
+        assert json.loads(out)["d"] == 2
+
+    def test_csc_flag_null_off_the_tower_length(self, capsys, tmp_path):
+        path = spec_file(tmp_path, TOWER_SECTION + "\n[matrix]\nrows = 1 0 1 0\nparts = 4\n")
+        code, out, _ = run(capsys, "code", "build", "--code", path)
+        assert code == 0
+        assert json.loads(out)["code"]["cyclic_skew_cyclic"] is None
+
     def test_text_format(self, capsys, gen_spec_file):
         code, out, _ = run(
             capsys, "distance", "--code", gen_spec_file, "--format", "text"
@@ -430,3 +461,24 @@ class TestTracerBindings:
             if not hasattr(importlib.import_module(module), attr)
         ]
         assert bindings and missing == []
+
+
+class TestBenchmarkPass:
+    """One untraced `certify` pass of the benchmark worker: an op that fails
+    shows here, not only in a benchmark run.  A `sweep` pass is left out: its
+    seeded inputs alone take about 3.5 s to generate."""
+
+    def test_certify_pass_has_no_failed_ops(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"), SUMRANK_BUDGET=str(1 << 28))
+        proc = subprocess.run(
+            [sys.executable, str(root / "benchmark" / "worker.py"), "--workload", "certify",
+             "--seed", "5", "--workdir", str(tmp_path / "work")],
+            env=env, cwd=root, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        ops = json.loads(proc.stdout.strip().splitlines()[-1])["ops"]
+        assert ops
+        failed = [(kind, status, detail) for kind, _, status, _, detail in ops
+                  if status not in ("ok", "known_defect")]
+        assert failed == []

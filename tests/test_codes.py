@@ -19,7 +19,14 @@ from sumrank import (
 from sumrank import kernels
 from sumrank.bivar import BivarPoly, biv_mul, nu_inverse
 from sumrank.codes import block_rank
-from sumrank.errors import BudgetExceeded, FieldTooLarge, SumrankError, UnequalParts, ZeroCode
+from sumrank.errors import (
+    BudgetExceeded,
+    FieldTooLarge,
+    LevelMismatch,
+    SumrankError,
+    UnequalParts,
+    ZeroCode,
+)
 from sumrank.kernels import FieldTables, min_weight
 
 
@@ -52,6 +59,11 @@ class TestLinearCode:
         assert C == C2
         assert C.contains(rows[0])
         assert not C.contains([1] + [0] * 8)
+
+    def test_codes_live_over_F(self, tower9):
+        C = LinearCode(tower9, [[1] * 9], Partition.equal(3, 3))
+        assert LinearCode.level == C.level == "F"
+        assert C.field is tower9.F
 
     def test_codeword_count(self, tower9):
         C = LinearCode(
@@ -112,6 +124,10 @@ class TestGeneratedCodes:
         assert C.k == 4
         assert is_cyclic_skew_cyclic(C)
         assert min_distance_bruteforce(C) == 2
+
+    def test_L_level_generator_refused(self, tower9):
+        with pytest.raises(LevelMismatch):
+            code_from_skew_generator(BivarPoly.one(tower9, "L"), tower9)
 
     def test_generator_is_codeword(self, tower9):
         t = tower9

@@ -17,6 +17,7 @@ from sumrank.codes import block_rank, hamming_weight
 from sumrank.errors import (
     FieldMismatch,
     GeneratorNotOverE,
+    LevelMismatch,
     NotADivisor,
     PreconditionViolated,
 )
@@ -104,7 +105,9 @@ class TestDivisors:
         x^ell - 1."""
         h = next(h for h in range(1, ell + 1) if p ** (deg * h) % ell == 1 % ell)
         t = build_tower(p, deg, 1, h, ell, 1)
-        assert corpus_f1(t, "E") == half_scan_divisors(ell, t.E) == scan_divisors(ell, t.E)
+        scan = scan_divisors(ell, t.E)
+        assert half_scan_divisors(ell, t.E) == scan
+        assert corpus_f1(t) == [tuple(t.lift(c, "E", "F") for c in d) for d in scan]
 
 
 class TestCorpora:
@@ -129,7 +132,8 @@ class TestCorpora:
         """ell | p - 1: x^ell - 1 is ell distinct linear factors over F_p, so
         there are C(ell, d) divisors of degree d, 2^ell in all."""
         t = build_tower(*spec)
-        divs = corpus_f1(t, "E")
+        from_F = {t.lift(v, "E", "F"): v for v in range(t.E.order)}
+        divs = [tuple(from_F[c] for c in d) for d in corpus_f1(t)]  # over E
         assert len(set(divs)) == len(divs) == 2**t.ell
         assert [sum(len(d) == k + 1 for d in divs) for k in range(t.ell + 1)] == [
             comb(t.ell, k) for k in range(t.ell + 1)
@@ -175,6 +179,10 @@ class TestTensorCode:
         C2 = skew_code_from_poly(t, SkewPoly(t, "F", (1, 1)))  # [3, 2]
         P = tensor_code(C1, C2)
         assert P.code.k == 4 == P.k1 * P.k2
+
+    def test_L_level_factor_refused(self, tower9):
+        with pytest.raises(LevelMismatch):
+            skew_code_from_poly(tower9, SkewPoly(tower9, "L", (1, 1)))
 
     def test_field_mismatch(self, tower9, tower4):
         C1 = cyclic_code_from_poly(tower9, (1, 1))

@@ -4,16 +4,16 @@ import random
 
 import pytest
 
-from sumrank import build_tower, find_normal_element, frobenius_power, is_normal, primitive_ell_root
+from sumrank import build_tower, find_normal_element, is_normal, primitive_ell_root
+from sumrank.bivar import _root_of_unity
+from sumrank.bounds import grid_points
 from sumrank.errors import (
     BlockLengthNotMultiple,
     DegreesNotCoprime,
-    LevelMismatch,
     NotPrime,
     RootsOfUnityAbsent,
 )
 from sumrank.gf import _digits, _undigits, field, find_embedding
-from sumrank.tower import FieldElement
 
 
 class TestGF:
@@ -125,34 +125,20 @@ class TestGaloisStructure:
     def test_primitive_root_and_normal_element(self, tower9):
         t = tower9
         a = primitive_ell_root(t)
-        assert t.L.mult_order(a.in_level("L").val) == t.ell
+        assert t.L.mult_order(a) == t.ell
         beta = find_normal_element(t)
-        assert is_normal(t, beta.in_level("L").val)
+        assert is_normal(t, beta)
         assert not is_normal(t, 1)  # 1 is never normal for m > 1
 
-
-class TestFieldElement:
-    def test_arithmetic_and_level_join(self, tower9):
-        t = tower9
-        x = FieldElement(t, "F", 3)
-        y = FieldElement(t, "K", 2)
-        z = x * y  # joins into L
-        assert z.level == "L"
-        assert (x + x).val == 0  # char 2
-        assert (x / x).val == 1
-
-    def test_bare_int_must_be_prime_field(self, tower9):
-        t = tower9
-        x = FieldElement(t, "F", 3)
-        assert (x * 1).val == 3
-        with pytest.raises(LevelMismatch):
-            x + 5  # 5 is not a prime-field constant
-
-    def test_frobenius_power(self, tower9):
-        t = tower9
-        x = FieldElement(t, "L", 7)
-        y = frobenius_power(t, x, 1)
-        assert y.val == t.sigma(7)
+    @pytest.mark.parametrize("spec", [(2, 1, 3, 2, 3, 3), (2, 1, 3, 2, 1, 3), (5, 1, 2, 1, 4, 2),
+                                      (2, 2, 2, 1, 3, 2), (2, 1, 3, 4, 15, 3)], ids=str)
+    def test_grid_points_are_L_encodings(self, spec):
+        t = build_tower(*spec)
+        a, beta = primitive_ell_root(t), find_normal_element(t)
+        assert (a, beta) == grid_points(t)
+        _root_of_unity(t, a)  # raises NotRootOfUnity otherwise
+        assert t.L.mult_order(a) == t.ell
+        assert is_normal(t, beta)
 
 
 # -- the former field-layer algorithms, kept as oracles ----------------------
@@ -322,13 +308,6 @@ class TestTowerMatchesOracles:
         t = build_tower(*spec)
         for v in range(t.E.order):
             assert t.lift(t.lift(v, "E", "K"), "K", "L") == t.lift(v, "E", "L")
-
-    def test_equal_elements_hash_equal(self, spec):
-        t = build_tower(*spec)
-        for frm, to in ROUTES:
-            for v in range(t.gf(frm).order):
-                a, b = FieldElement(t, frm, v), FieldElement(t, to, t.lift(v, frm, to))
-                assert a == b and hash(a) == hash(b) and len({a, b}) == 1
 
 
 @pytest.mark.parametrize("spec", E_EXTENSION_TOWERS, ids=str)
