@@ -224,6 +224,8 @@ def roos_check(D: DefiningSetView, p: BoundParams, code_id="") -> BoundCertifica
     ks = p.ks
     if p.s is None or gcd(t.n, p.s) != 1:
         raise PreconditionViolated("gcd(n, s) = 1")
+    if p.r < 0:
+        raise PreconditionViolated("r >= 0")
     if ks is None or len(ks) != p.r + 1:
         raise PreconditionViolated("k-list length must be r + 1")
     if any(ks[i] >= ks[i + 1] for i in range(len(ks) - 1)):
@@ -245,6 +247,8 @@ def ht_check(D: DefiningSetView, p: BoundParams, code_id="") -> BoundCertificate
         raise PreconditionViolated("gcd(n, t1) = 1")
     if p.t2 is None or gcd(t.n, p.t2) >= p.delta:
         raise PreconditionViolated("gcd(n, t2) < delta")
+    if p.r < 0:
+        raise PreconditionViolated("r >= 0")
     if p.delta < 2 and p.r > 0:
         raise PreconditionViolated("delta >= 2 when r > 0")
     if p.delta < 1:

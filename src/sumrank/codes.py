@@ -1,12 +1,13 @@
 """Linear codes over F with an attached partition, plus the distance oracle.
 
 A LinearCode is an F-subspace of F^n, its entries F-encodings; the sum-rank
-weight of a vector adds the ranks over E of its blocks.  A code is
-canonically represented by the RREF of its generator matrix, so equality and
-membership are syntactic.  The exhaustive minimum-distance oracle delegates
-to the numpy kernel in `kernels` and is guarded by an enumeration budget
-(default 2^24, override via SUMRANK_BUDGET) that counts all |F|^k codewords,
-although the kernel visits one per F*-line.
+weight of a vector adds the ranks over E of its blocks: the dimensions of
+their E-spans, which `block_rank` closes inside F without the kernel's
+coordinate tables.  A code is canonically represented by the RREF of its
+generator matrix, so equality and membership are syntactic.  The exhaustive
+minimum-distance oracle delegates to the numpy kernel in `kernels` and is
+guarded by an enumeration budget (default 2^24, override via SUMRANK_BUDGET)
+that counts all |F|^k codewords, although the kernel visits one per F*-line.
 """
 
 from __future__ import annotations
@@ -64,11 +65,18 @@ class Partition:
 
 
 def block_rank(tower: FieldTower, block) -> int:
-    """Rank over E of the coordinate rows of the block's F entries."""
-    rows = [tower.coords("F", "E", v) for v in block if v != 0]
-    if not rows:
-        return 0
-    return linalg.rank(rows, tower.E)
+    """Dimension of the E-span of the block's F entries, closed one entry at
+    a time; E's units in F are F.exp[::(|F| - 1) / (|E| - 1)], as the
+    subfield of that order is unique."""
+    F = tower.F
+    units = F.exp[:: (F.order - 1) // (tower.E.order - 1)]
+    span, rank = {0}, 0
+    for v in block:
+        if v not in span:
+            multiples = [F.mul(c, v) for c in units]
+            span |= {F.add(s, w) for s in span for w in multiples}
+            rank += 1
+    return rank
 
 
 def sumrank_weight(tower, c, part: Partition) -> int:
@@ -112,21 +120,19 @@ class LinearCode:
         return linalg.in_span(vec, self.G, self.pivots, self.field)
 
     def codewords(self):
-        """Iterate over all codewords (budget is the caller's concern)."""
-        q = self.field.order
+        """Iterate over all codewords, the first row's coefficient varying
+        fastest through F's encodings (budget is the caller's concern)."""
         gf = self.field
-        for idx in range(q**self.k):
-            msg = []
-            v = idx
-            for _ in range(self.k):
-                msg.append(v % q)
-                v //= q
-            cw = [0] * self.n
-            for i, d in enumerate(msg):
-                if d:
-                    row = self.G[i]
-                    cw = [gf.add(cw[j], gf.mul(d, row[j])) for j in range(self.n)]
-            yield tuple(cw)
+        multiples = [[tuple(gf.mul(c, x) for x in row) for c in range(gf.order)] for row in self.G]
+
+        def walk(i, acc):
+            if i < 0:
+                yield acc
+                return
+            for m in multiples[i]:
+                yield from walk(i - 1, tuple(map(gf.add, acc, m)))
+
+        return walk(self.k - 1, (0,) * self.n)
 
     def code_id(self) -> str:
         payload = json.dumps(
@@ -193,12 +199,11 @@ def enumeration_budget() -> int:
     return budget
 
 
-def min_distance_bruteforce(C: LinearCode, metric: str = "sumrank", budget: int | None = None) -> int:
+def min_distance_bruteforce(C: LinearCode, metric: str = "sumrank") -> int:
     """Exact minimum weight over all nonzero codewords."""
     if C.k == 0:
         raise ZeroCode("minimum distance of the zero code is undefined")
-    if budget is None:
-        budget = enumeration_budget()
+    budget = enumeration_budget()
     needed = C.field.order**C.k
     if needed > budget:
         raise BudgetExceeded(needed, budget)

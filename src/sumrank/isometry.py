@@ -207,15 +207,14 @@ def general_linear_group(n, gf):
     return [M for M in all_matrices(n, gf) if linalg.rank(M, gf) == n]
 
 
-def min_dist_via_block_diagonal(C: LinearCode, budget: int | None = None) -> int:
+def min_dist_via_block_diagonal(C: LinearCode) -> int:
     """Minimum Hamming distance of C*A over all block-diagonal invertible A
     with blocks over E; equals the sum-rank distance."""
     if C.k == 0:
         raise ZeroCode("minimum distance of the zero code is undefined")
     t = C.tower
     groups = [general_linear_group(p, t.E) for p in C.partition.parts]
-    if budget is None:
-        budget = enumeration_budget()
+    budget = enumeration_budget()
     cost = C.field.order**C.k
     for g in groups:
         cost *= len(g)

@@ -153,14 +153,14 @@ def product_code_from_polys(t: FieldTower, f1, f2: SkewPoly) -> ProductCode:
     return tensor_code(C1, C2, trim(f1), f2)
 
 
-def factor_distances(P: ProductCode, budget=None):
+def factor_distances(P: ProductCode):
     """(d_H(C1), d_R(C2)) by brute force."""
-    dH = min_distance_bruteforce(P.C1, metric="hamming", budget=budget)
-    dR = min_distance_bruteforce(P.C2, metric="rank", budget=budget)
+    dH = min_distance_bruteforce(P.C1, metric="hamming")
+    dR = min_distance_bruteforce(P.C2, metric="rank")
     return dH, dR
 
 
-def product_bound(P: ProductCode, kind: str, p: BoundParams, budget=None):
+def product_bound(P: ProductCode, kind: str, p: BoundParams):
     """Certify the product grid containment and convert the bound delta+r
     into lower bounds on the factors' distances."""
     if kind not in ("roos", "ht"):
@@ -171,7 +171,7 @@ def product_bound(P: ProductCode, kind: str, p: BoundParams, budget=None):
     member = product_defining_set(t, P.f1, P.f2)
     D = DefiningSetView.from_predicate(t, member)
     cert = CHECKERS[kind](D, p, P.code.code_id())
-    dH, dR = factor_distances(P, budget)
+    dH, dR = factor_distances(P)
     return {
         "certificate": cert,
         "bound": cert.bound,

@@ -89,31 +89,20 @@ class FieldTower:
 
     def coords(self, level: str, sub: str, val: int):
         """Coordinates of `val` over the subfield, in the power basis of the
-        big field's generator.  Returns a tuple of subfield elements."""
-        table = self._coord_map(level, sub)
-        return table(val)
+        big field's generator, as a tuple of subfield elements.  One path
+        serves every pair; over the prime subfield they are the base-p digits."""
+        return self._coord_map(level, sub)(val)
 
     def _coord_map(self, level, sub):
         key = (level, sub)
         if key in self._coord_tables:
             return self._coord_tables[key]
-        big = self.gf(level)
-        small = self.gf(sub)
-        p = self.p
-        sdeg = small.deg
-        mdim = big.deg // sdeg
-        if sdeg == 1:
-            # prime subfield: base-p digits are already the coordinates
-            def mapper(v, big=big):
-                return tuple(big.elem_digits(v))
-
-            self._coord_tables[key] = mapper
-            return mapper
+        big, small, p = self.gf(level), self.gf(sub), self.p
+        sdeg, D = small.deg, big.deg
         img = self.lift(small.gen, sub, level)
-        D = big.deg
         cols = [
             big.elem_digits(big.mul(big.pow(img, t), big.pow(big.gen, i)))
-            for i in range(mdim)
+            for i in range(D // sdeg)
             for t in range(sdeg)
         ]
         # [M | I] reduces to [I | M^-1]

@@ -6,8 +6,8 @@ import pytest
 
 # The corpus includes the full space F8^9 (8^9 ~ 1.3e8 codewords); the
 # default 2^24 budget would reject it even though the enumeration exits on
-# the first weight-1 codeword.  Tests that exercise the budget guard pass an
-# explicit budget instead of relying on the environment.
+# the first weight-1 codeword.  Tests that exercise the budget guard set
+# SUMRANK_BUDGET themselves with monkeypatch.setenv.
 os.environ.setdefault("SUMRANK_BUDGET", str(1 << 28))
 
 from sumrank import build_tower  # noqa: E402

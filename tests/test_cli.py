@@ -291,6 +291,20 @@ class TestErrorContract:
 
         assert self.verify_edited(capsys, gen_spec_file, tmp_path, retower) == "TowerMismatch"
 
+    @pytest.mark.parametrize("argv", [
+        "certify ht --b 0 --t1 1 --t2 1 --delta 9 --r -1",
+        {"kind": "ht", "b": 0, "delta": 9, "r": -1, "t1": 1, "t2": 1},
+        {"kind": "roos", "b": 0, "delta": 9, "r": -1, "s": 1, "ks": []},
+    ], ids=["certify-ht", "verify-ht", "verify-roos"])
+    def test_negative_r_refused(self, capsys, tmp_path, argv):
+        # with r = -1 the HT pattern lists no pair, yet claims delta + r = 8
+        # against a distance of 2; the Roos check would index an empty k-list
+        path = spec_file(tmp_path, TOWER_SECTION + "\n[generator]\nf1 = x+1\nf2 = 1\n")
+        if isinstance(argv, dict):
+            claim = {"params": argv, "bound": 8, "grid": []}
+            argv = f"verify --certificate {spec_file(tmp_path, json.dumps(claim), 'c.json')}"
+        assert self.error(capsys, *argv.split(), "--code", path) == "PreconditionViolated"
+
     def test_roos_offsets_not_integers(self, capsys, gen_spec_file):
         argv = ("certify", "roos", "--code", gen_spec_file, "--b", "1", "--s", "1",
                 "--delta", "2", "--k", "a")
@@ -464,15 +478,20 @@ class TestTracerBindings:
 
 
 class TestBenchmarkPass:
-    """One untraced `certify` pass of the benchmark worker: an op that fails
-    shows here, not only in a benchmark run.  A `sweep` pass is left out: its
-    seeded inputs alone take about 3.5 s to generate."""
+    """One untraced `certify` and one untraced `sweep` pass of the benchmark
+    worker: an op that fails shows here, not only in a benchmark run."""
 
     def test_certify_pass_has_no_failed_ops(self, tmp_path):
+        self.assert_no_failed_ops(tmp_path, "certify")
+
+    def test_sweep_pass_has_no_failed_ops(self, tmp_path):
+        self.assert_no_failed_ops(tmp_path, "sweep")
+
+    def assert_no_failed_ops(self, tmp_path, workload):
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(root / "src"), SUMRANK_BUDGET=str(1 << 28))
         proc = subprocess.run(
-            [sys.executable, str(root / "benchmark" / "worker.py"), "--workload", "certify",
+            [sys.executable, str(root / "benchmark" / "worker.py"), "--workload", workload,
              "--seed", "5", "--workdir", str(tmp_path / "work")],
             env=env, cwd=root, capture_output=True, text=True, timeout=300,
         )

@@ -16,7 +16,7 @@ from sumrank import (
     rho_shift,
     sumrank_weight,
 )
-from sumrank import kernels
+from sumrank import kernels, linalg
 from sumrank.bivar import BivarPoly, biv_mul, nu_inverse
 from sumrank.codes import block_rank
 from sumrank.errors import (
@@ -28,6 +28,44 @@ from sumrank.errors import (
     ZeroCode,
 )
 from sumrank.kernels import FieldTables, min_weight
+
+
+def reference_block_rank(tower, block):
+    """Rank over E of the coordinate rows of the block's F entries, by
+    elimination: a reference for `block_rank` that goes through `coords`."""
+    rows = [tower.coords("F", "E", v) for v in block if v != 0]
+    return linalg.rank(rows, tower.E) if rows else 0
+
+
+def reference_codewords(C):
+    """Every codeword, each message index split into base-|F| digits, the
+    lowest digit the first row's coefficient: a reference for the order and
+    values of `LinearCode.codewords`."""
+    gf, q = C.field, C.field.order
+    for idx in range(q**C.k):
+        cw = [0] * C.n
+        for row in C.G:
+            d, idx = idx % q, idx // q
+            if d:
+                cw = [gf.add(a, gf.mul(d, b)) for a, b in zip(cw, row)]
+        yield tuple(cw)
+
+
+# towers for the oracle cross-checks: odd p, E = F_p and E an extension field
+RANK_TOWERS = [
+    (2, 1, 3, 2, 3, 3),
+    (2, 1, 2, 1, 1, 2),
+    (3, 1, 2, 1, 2, 2),
+    (2, 1, 4, 3, 7, 4),
+    (5, 1, 2, 1, 4, 2),
+    (7, 1, 2, 1, 6, 2),
+    (3, 2, 2, 1, 4, 2),
+    (2, 2, 3, 1, 3, 3),
+    (2, 3, 2, 1, 7, 2),
+    (5, 2, 2, 1, 3, 2),
+    (2, 2, 2, 1, 3, 2),
+    (3, 1, 3, 1, 2, 3),
+]
 
 
 class TestWeights:
@@ -44,6 +82,24 @@ class TestWeights:
         t = tower4
         vec = (1, 2, 1, 2, 0, 0)
         assert sumrank_weight(t, vec, Partition.equal(3, 2)) == 4
+
+    @pytest.mark.parametrize("spec", RANK_TOWERS, ids=str)
+    def test_block_rank_matches_coordinate_rank(self, spec):
+        # random blocks whose later entries are often E-combinations of the
+        # earlier ones, E lifted into F by the tower's embedding
+        t = build_tower(*spec)
+        F, rng = t.F, random.Random(str(spec))
+        E_in_F = [t.lift(c, "E", "F") for c in range(t.E.order)]
+        for _ in range(60):
+            base = [rng.randrange(F.order) for _ in range(rng.randrange(1, t.m + 1))]
+            block = list(base)
+            for _ in range(rng.randrange(t.m + 3)):
+                v = 0
+                for b in base:
+                    v = F.add(v, F.mul(rng.choice(E_in_F), b))
+                block.append(v)
+            rng.shuffle(block)
+            assert block_rank(t, block) == reference_block_rank(t, block)
 
     def test_unequal_parts_guard(self):
         with pytest.raises(UnequalParts):
@@ -73,19 +129,32 @@ class TestLinearCode:
         )
         assert sum(1 for _ in C.codewords()) == 8
 
-    def test_full_space_distance_one(self, tower9):
+    @pytest.mark.parametrize("spec,k", [
+        ((2, 1, 3, 2, 3, 3), 0), ((2, 1, 3, 2, 3, 3), 1), ((2, 1, 3, 2, 3, 3), 3),
+        ((3, 1, 2, 1, 2, 2), 3), ((5, 1, 2, 1, 4, 2), 2), ((2, 2, 2, 1, 3, 2), 2),
+    ], ids=str)
+    def test_codewords_match_digit_enumeration(self, spec, k):
+        t = build_tower(*spec)
+        rng = random.Random(k)
+        rows = [[rng.randrange(t.F.order) for _ in range(t.n)] for _ in range(k)]
+        C = LinearCode(t, rows, Partition.equal(t.ell, t.N))
+        assert list(C.codewords()) == list(reference_codewords(C))
+
+    def test_full_space_distance_one(self, tower9, monkeypatch):
+        monkeypatch.setenv("SUMRANK_BUDGET", str(1 << 28))
         C = LinearCode.full_space(tower9, Partition.equal(3, 3))
-        assert min_distance_bruteforce(C, budget=1 << 28) == 1
+        assert min_distance_bruteforce(C) == 1
 
     def test_zero_code_raises(self, tower9):
         C = LinearCode(tower9, [], Partition.equal(3, 3))
         with pytest.raises(ZeroCode):
             min_distance_bruteforce(C)
 
-    def test_budget_guard(self, tower9):
+    def test_budget_guard(self, tower9, monkeypatch):
+        monkeypatch.setenv("SUMRANK_BUDGET", "100")
         C = LinearCode.full_space(tower9, Partition.equal(3, 3))
         with pytest.raises(BudgetExceeded):
-            min_distance_bruteforce(C, budget=100)
+            min_distance_bruteforce(C)
 
 
 class TestShifts:

@@ -322,6 +322,20 @@ def test_coords_round_trip(spec, level, sub):
         assert acc == v
 
 
+@pytest.mark.parametrize(
+    "spec", [(2, 1, 3, 2, 3, 3), (5, 1, 2, 1, 4, 2), (7, 1, 2, 1, 6, 2), (3, 1, 2, 1, 2, 2),
+             (2, 1, 1, 3, 7, 1), (3, 1, 2, 3, 13, 2), (2, 1, 4, 3, 7, 4)], ids=str)
+def test_coords_over_prime_subfield_are_digits(spec):
+    # every pair with a prime subfield, on towers where F, K or E is F_p
+    t = build_tower(*spec)
+    pairs = [(big, sub) for sub, big in ROUTES if t.gf(sub).deg == 1]
+    assert pairs
+    for level, sub in pairs:
+        big = t.gf(level)
+        for v in range(big.order):
+            assert t.coords(level, sub, v) == tuple(big.elem_digits(v))
+
+
 @pytest.mark.parametrize("p,deg", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2), (11, 2)])
 def test_zech_arithmetic_matches_digits_on_all_pairs(p, deg):
     gf = field(p, deg)
