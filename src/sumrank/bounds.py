@@ -221,6 +221,8 @@ def bch_check(D: DefiningSetView, p: BoundParams, code_id="") -> BoundCertificat
 def roos_check(D: DefiningSetView, p: BoundParams, code_id="") -> BoundCertificate:
     t = D.tower
     _require_checkable(D)
+    if p.delta < 1:
+        raise PreconditionViolated("delta >= 1")
     ks = p.ks
     if p.s is None or gcd(t.n, p.s) != 1:
         raise PreconditionViolated("gcd(n, s) = 1")
@@ -234,8 +236,6 @@ def roos_check(D: DefiningSetView, p: BoundParams, code_id="") -> BoundCertifica
         raise PreconditionViolated("k_r - k_0 <= delta + r - 2")
     if p.delta < 2 and p.r > 0:
         raise PreconditionViolated("delta >= 2 when r > 0")
-    if p.delta < 1:
-        raise PreconditionViolated("delta >= 1")
     pairs = ((p.b + p.s * i + k, p.s * i + k) for i in range(p.delta - 1) for k in ks)
     return _emit(D, p, (p.delta - 1) * len(ks), pairs, p.delta + p.r, code_id)
 
@@ -243,6 +243,8 @@ def roos_check(D: DefiningSetView, p: BoundParams, code_id="") -> BoundCertifica
 def ht_check(D: DefiningSetView, p: BoundParams, code_id="") -> BoundCertificate:
     t = D.tower
     _require_checkable(D)
+    if p.delta < 1:
+        raise PreconditionViolated("delta >= 1")
     if p.t1 is None or gcd(t.n, p.t1) != 1:
         raise PreconditionViolated("gcd(n, t1) = 1")
     if p.t2 is None or gcd(t.n, p.t2) >= p.delta:
@@ -251,8 +253,6 @@ def ht_check(D: DefiningSetView, p: BoundParams, code_id="") -> BoundCertificate
         raise PreconditionViolated("r >= 0")
     if p.delta < 2 and p.r > 0:
         raise PreconditionViolated("delta >= 2 when r > 0")
-    if p.delta < 1:
-        raise PreconditionViolated("delta >= 1")
     pairs = (
         (p.b + i * p.t1 + s * p.t2, i * p.t1 + s * p.t2)
         for i in range(p.delta - 1)
@@ -316,7 +316,9 @@ def _candidates(D: DefiningSetView, limits: SearchLimits):
     gcd_n = [gcd(n, k) for k in range(n)]
     bch_cap = min(dmax - 1, lc)  # pairs of a BCH progression
 
-    for b in range(n):
+    # memb reads row (b + e) mod ell, so b and b + ell yield the same
+    # candidates and the tie-break keeps the smaller: each start mod ell once
+    for b in range(t.ell):
         memb = [D.table[(b + e) % t.ell][e % t.m] for e in range(n)]
 
         # bch: grow the progression while new pairs are members.  The step

@@ -266,12 +266,9 @@ def cmd_product(args) -> int:
     t = spec1.tower
     P = product_code_from_polys(t, spec1.f1, spec2.f2)
     dH, dR = factor_distances(P)
-    dSR = min_distance_bruteforce(P.code) if P.code.k else None
+    dSR = min_distance_bruteforce(P.code)
     D = DefiningSetView.from_generator(t, product_generator_poly(t, spec1.f1, spec2.f2))
-    bounds = []
-    if P.code.k:
-        cert = best_bound_search(D, code_id=P.code.code_id())
-        bounds.append(cert.as_dict())
+    cert = best_bound_search(D, code_id=P.code.code_id())
     _report(
         args,
         {
@@ -280,7 +277,7 @@ def cmd_product(args) -> int:
             "dH": dH,
             "dR": dR,
             "dSR": dSR,
-            "bounds": bounds,
+            "bounds": [cert.as_dict()],
         },
     )
     return 0

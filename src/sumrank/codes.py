@@ -2,8 +2,8 @@
 
 A LinearCode is an F-subspace of F^n, its entries F-encodings; the sum-rank
 weight of a vector adds the ranks over E of its blocks: the dimensions of
-their E-spans, which `block_rank` closes inside F without the kernel's
-coordinate tables.  A code is canonically represented by the RREF of its
+their E-spans, which `block_rank` closes inside F, independent of the
+kernel's Moore-matrix ranks.  A code is canonically represented by the RREF of its
 generator matrix, so equality and membership are syntactic.  The exhaustive
 minimum-distance oracle delegates to the numpy kernel in `kernels` and is
 guarded by an enumeration budget (default 2^24, override via SUMRANK_BUDGET)

@@ -238,9 +238,6 @@ class GF:
     def modulus_int(self) -> int:
         return _undigits(self.modulus, self.p)
 
-    def elem_digits(self, a: int) -> list[int]:
-        return _digits(a, self.p, self.deg)
-
     def __repr__(self):
         return f"GF({self.p}^{self.deg})"
 

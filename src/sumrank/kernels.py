@@ -3,10 +3,11 @@
 Scaling a codeword by an element of F* keeps every block rank, so one
 message per F*-line suffices: leading digit 1 at some position i, then every
 tail.  Codewords are built in chunks of at most CHUNK by `addF` gathers of a
-prefix row over the precomputed span of the last rows.  Block ranks over the
-subfield come from one vectorized Gaussian elimination on the coordinate
-rows; for blocks with at most TABLE_CAP possible values it is run once on
-every value and memoized as a lookup table.
+prefix row over the precomputed span of the last rows.  A block's rank over
+the subfield E is the rank over F of its Moore matrix, the rows
+(v, v^q, ..., v^(q^(m-1))) with q = |E|, and comes from one vectorized
+Gaussian elimination over F; for blocks with at most TABLE_CAP possible
+values it is run once on every value and memoized as a lookup table.
 
 numpy is imported inside the functions that build or run the tables, so
 importing the package (and every CLI call that does not enumerate) does not
@@ -47,40 +48,41 @@ def _arithmetic(gf):
 
 
 class FieldTables:
-    """Dense lookup tables for F and its subfield E."""
+    """Dense arithmetic tables of F and the Moore rows of its elements."""
 
     def __init__(self, tower):
         import numpy as np
 
-        big, small = tower.F, tower.E
-        if big.order > ORDER_CAP:
+        F = tower.F
+        if F.order > ORDER_CAP:
             raise FieldTooLarge(
-                f"enumeration tables capped at order {ORDER_CAP}, got {big.order}"
+                f"enumeration tables capped at order {ORDER_CAP}, got {F.order}"
             )
         i16 = np.int16  # entries are below ORDER_CAP; narrow chunks keep peak RSS low
-        self.mulF, self.addF, _, _ = (x.astype(i16) for x in _arithmetic(big))
-        self.mulS, addS, negS, self.invS = (x.astype(i16) for x in _arithmetic(small))
-        self.subS = addS[:, negS]
-        self.coord = np.array([tower.coords("F", "E", a) for a in range(big.order)], i16)
+        self.mulF, self.addF, self.negF, self.invF = (x.astype(i16) for x in _arithmetic(F))
+        self.moore = np.array(
+            [[F.frob(v, tower.e_deg * j) for j in range(tower.m)] for v in range(F.order)], i16
+        )
         self.rank_tables = {}  # block size b -> ranks of all |F|^b blocks
 
     def ranks(self, blocks):
-        """Subfield ranks of (M, b) blocks of F entries, as an (M,) array.
+        """Subfield ranks of (M, b) blocks of F entries, as an (M,) array:
+        the ranks over F of their (b, m) Moore matrices.
 
         Each pivot row is eliminated from every row, itself included, so a
         used row turns zero and is never picked again.
         """
         import numpy as np
 
-        X = self.coord[blocks]  # (M, b, mS) subfield coordinates
+        X = self.moore[blocks]  # (M, b, m) Moore matrices
         rank = np.zeros(len(X), np.int64)
         rows = np.arange(len(X))
         for c in range(X.shape[2]):
             col = X[:, :, c]
             nz = col != 0
             pivot = X[rows, nz.argmax(1)]
-            pivot = self.mulS[self.invS[pivot[:, c]][:, None], pivot]
-            X = self.subS[X, self.mulS[col[:, :, None], pivot[:, None, :]]]
+            pivot = self.mulF[self.invF[pivot[:, c]][:, None], pivot]
+            X = self.addF[X, self.mulF[self.negF[col][:, :, None], pivot[:, None, :]]]
             rank += nz.any(1)
         return rank
 

@@ -23,7 +23,7 @@ from .errors import (
     NotPrime,
     RootsOfUnityAbsent,
 )
-from .gf import GF, _undigits, check_order, field, find_embedding, is_prime
+from .gf import GF, check_order, field, find_embedding, is_prime
 
 
 class FieldTower:
@@ -49,7 +49,6 @@ class FieldTower:
         }
         # E -> L is routed through F so that theta and sigma agree on F's copy
         self._images["E", "L"] = self.lift(self._images["E", "F"], "F", "L")
-        self._coord_tables = {}
 
     # -- levels and lifting --------------------------------------------------
 
@@ -84,38 +83,6 @@ class FieldTower:
         if level == "F":
             return self.theta(val, i)
         raise LevelMismatch(level)
-
-    # -- subfield coordinates ------------------------------------------------
-
-    def coords(self, level: str, sub: str, val: int):
-        """Coordinates of `val` over the subfield, in the power basis of the
-        big field's generator, as a tuple of subfield elements.  One path
-        serves every pair; over the prime subfield they are the base-p digits."""
-        return self._coord_map(level, sub)(val)
-
-    def _coord_map(self, level, sub):
-        key = (level, sub)
-        if key in self._coord_tables:
-            return self._coord_tables[key]
-        big, small, p = self.gf(level), self.gf(sub), self.p
-        sdeg, D = small.deg, big.deg
-        img = self.lift(small.gen, sub, level)
-        cols = [
-            big.elem_digits(big.mul(big.pow(img, t), big.pow(big.gen, i)))
-            for i in range(D // sdeg)
-            for t in range(sdeg)
-        ]
-        # [M | I] reduces to [I | M^-1]
-        MI = [[cols[c][r] for c in range(D)] + [int(c == r) for c in range(D)] for r in range(D)]
-        Minv = [row[D:] for row in linalg.rref(MI, field(p, 1))[0]]
-
-        def mapper(v):
-            d = big.elem_digits(v)
-            sol = [sum(a * b for a, b in zip(row, d)) % p for row in Minv]
-            return tuple(_undigits(sol[i : i + sdeg], p) for i in range(0, D, sdeg))
-
-        self._coord_tables[key] = mapper
-        return mapper
 
     # -- serialization -------------------------------------------------------
 

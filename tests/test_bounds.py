@@ -115,6 +115,17 @@ class TestCheckers:
         with pytest.raises(PreconditionViolated):
             ht_check(D, BoundParams("ht", 0, 2, r=1, t1=1, t2=3))  # gcd(9,3)=3 >= 2
 
+    @pytest.mark.parametrize("params", [
+        BoundParams("roos", 0, 0, r=0, s=1, ks=(0,)),
+        BoundParams("ht", 0, 0, r=0, t1=1, t2=1),
+    ], ids=["roos", "ht"])
+    def test_delta_below_one_named(self, example, params):
+        # checked first, as the window and gcd(n, t2) hypotheses assume it
+        _, _, _, D = example
+        with pytest.raises(PreconditionViolated) as err:
+            CHECKERS[params.kind](D, params)
+        assert err.value.which == "delta >= 1"
+
     def test_repeated_pairs_rejected(self, tower9):
         # with ell = m = 3 a step-pattern repeats pairs every 3 exponents;
         # an all-member predicate isolates the distinctness check
@@ -354,9 +365,15 @@ def reference_considered(D, limits, monkeypatch):
 
 
 def same_candidates(D, monkeypatch, limits=SearchLimits()):
+    """The search's winner equals the reference's, and its candidates are the
+    reference's over b in Z_n with b reduced mod ell: the starts b + ell that
+    the search skips only repeat those of b."""
     cert = best_bound_search(D, limits)
     got = (cert.params, cert.grid, cert.bound), set(bounds._candidates(D, limits))
-    assert got == reference_considered(D, limits, monkeypatch)
+    want, considered = reference_considered(D, limits, monkeypatch)
+    ell = D.tower.ell
+    reduced = {(bound, kind, (key[0] % ell,) + key[1:], r) for bound, kind, key, r in considered}
+    assert got == (want, reduced)
 
 
 class TestSearchMatchesReference:

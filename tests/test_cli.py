@@ -380,6 +380,14 @@ class TestErrorContract:
         argv = ("product", "--code1", gen_spec_file, "--code2", other)
         assert self.error(capsys, *argv) == "TowerMismatch"
 
+    @pytest.mark.parametrize("code", ["code1", "code2"])
+    def test_product_with_a_zero_factor(self, capsys, gen_spec_file, tmp_path, code):
+        # x^3 + 1 = x^ell - 1 and z^3 + 1 = z^N - 1 generate zero factors
+        zero = spec_file(tmp_path, TOWER_SECTION + "\n[generator]\nf1 = x^3+1\nf2 = z^3+1\n")
+        specs = {"code1": gen_spec_file, "code2": gen_spec_file, code: zero}
+        argv = ("product", "--code1", specs["code1"], "--code2", specs["code2"])
+        assert self.error(capsys, *argv) == "ZeroCode"
+
     def test_certificates_refuse_other_partitions(self, capsys, tmp_path):
         # f1 = x+1, f2 = 1 has d = 1 as one block of 9, but the grid certifies 2
         rows = parse_code_spec(TOWER_SECTION + "\n[generator]\nf1 = x+1\nf2 = 1\n").code.G

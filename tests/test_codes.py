@@ -1,7 +1,9 @@
 """Linear codes, sum-rank weights, shifts, and the distance oracle."""
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from sumrank import (
@@ -31,10 +33,12 @@ from sumrank.kernels import FieldTables, min_weight
 
 
 def reference_block_rank(tower, block):
-    """Rank over E of the coordinate rows of the block's F entries, by
-    elimination: a reference for `block_rank` that goes through `coords`."""
-    rows = [tower.coords("F", "E", v) for v in block if v != 0]
-    return linalg.rank(rows, tower.E) if rows else 0
+    """Rank over F of the block's Moore matrix (v^(|E|^j)), j < m, by
+    elimination: a reference for `block_rank` through the criterion the
+    kernel uses."""
+    F, q = tower.F, tower.E.order
+    rows = [[F.pow(v, q**j) for j in range(tower.m)] for v in block if v != 0]
+    return linalg.rank(rows, F) if rows else 0
 
 
 def reference_codewords(C):
@@ -267,9 +271,26 @@ class TestKernelAgreement:
 
         assert T.mulF.tolist() == entrywise(t.F, t.F.mul)
         assert T.addF.tolist() == entrywise(t.F, t.F.add)
-        assert T.mulS.tolist() == entrywise(t.E, t.E.mul)
-        assert T.subS.tolist() == entrywise(t.E, t.E.sub)
-        assert T.invS.tolist() == [t.E.inv(a) if a else 0 for a in range(t.E.order)]
+        assert T.negF.tolist() == [t.F.neg(a) for a in range(t.F.order)]
+        assert T.invF.tolist() == [t.F.inv(a) if a else 0 for a in range(t.F.order)]
+        q = t.E.order
+        assert T.moore.tolist() == [
+            [t.F.pow(v, q**j) for j in range(t.m)] for v in range(t.F.order)
+        ]
+
+    @pytest.mark.parametrize("spec", RANK_TOWERS, ids=str)
+    def test_block_ranks_match_span_rank_on_every_block(self, spec):
+        # every block of every size b with |F|^b <= 4096, by table and by
+        # direct elimination, against the E-span closure of `block_rank`
+        t = build_tower(*spec)
+        T, q = FieldTables(t), t.F.order
+        b = 1
+        while q**b <= 4096:
+            every = np.array(list(itertools.product(range(q), repeat=b)))
+            want = [block_rank(t, block) for block in every.tolist()]
+            assert T.block_ranks(every).tolist() == want
+            assert T.ranks(every).tolist() == want
+            b += 1
 
     def test_table_order_cap(self, tower9, monkeypatch):
         monkeypatch.setattr(kernels, "ORDER_CAP", 4)
