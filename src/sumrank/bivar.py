@@ -18,6 +18,7 @@ from .errors import (
     TowerMismatch,
     ZeroBeta,
 )
+from .poly import wrap
 from .skew import SkewPoly, right_evaluate
 from .tower import FieldTower
 
@@ -118,20 +119,16 @@ class BivarPoly:
     @staticmethod
     def from_x_poly(tower, level, coeffs):
         """Embed an ordinary polynomial in x (reduced mod x^ell - 1)."""
-        gf = tower.gf(level)
-        g = [[0] * tower.N for _ in range(tower.ell)]
-        for i, c in enumerate(coeffs):
-            g[i % tower.ell][0] = gf.add(g[i % tower.ell][0], c)
-        return BivarPoly.from_lists(tower, level, g)
+        zeros = (0,) * (tower.N - 1)
+        column = wrap(coeffs, tower.ell, tower.gf(level))
+        return BivarPoly(tower, level, tuple((c,) + zeros for c in column))
 
     @staticmethod
     def from_z_poly(tower, level, coeffs):
         """Embed a skew polynomial in z (reduced mod z^N - 1)."""
-        gf = tower.gf(level)
-        g = [[0] * tower.N for _ in range(tower.ell)]
-        for j, c in enumerate(coeffs):
-            g[0][j % tower.N] = gf.add(g[0][j % tower.N], c)
-        return BivarPoly.from_lists(tower, level, g)
+        zero = (0,) * tower.N
+        row = wrap(coeffs, tower.N, tower.gf(level))
+        return BivarPoly(tower, level, (row,) + (zero,) * (tower.ell - 1))
 
 
 def biv_mul(f: BivarPoly, g: BivarPoly) -> BivarPoly:

@@ -46,6 +46,14 @@ from .skew import SkewPoly, parse_coeff, parse_poly, parse_terms
 from .tower import FieldTower, build_tower
 
 
+def split_items(text: str, what: str):
+    """Items split at commas and/or whitespace; an empty one ("1,,0") is a ParseError."""
+    items = re.split(r"\s*,\s*|\s+", text.strip())
+    if "" in items:
+        raise ParseError(f"{what} has an empty item: {text!r}")
+    return items
+
+
 def parse_bivar(text: str, tower: FieldTower, level: str = "F") -> BivarPoly:
     """Parse "g^3*x^2*z + x + 1" style text into a coefficient grid;
     coefficients as in `parse_coeff`, exponents reduced mod (ell, N)."""
@@ -80,11 +88,7 @@ class CodeSpec:
             return DefiningSetView.from_generator(t, self.generator)
         if self.code.k == 0:
             raise ZeroCode("the zero code has no meaningful bound certificate")
-        rows = [
-            nu_map([t.lift(v, "F", "L") for v in row], t, "L")
-            for row in self.code.G
-        ]
-        return DefiningSetView(t, None, common_zeros(t, rows))
+        return DefiningSetView(t, None, common_zeros(t, [nu_map(r, t) for r in self.code.G]))
 
 
 def parse_code_spec(text: str) -> CodeSpec:
@@ -116,11 +120,11 @@ def parse_code_spec(text: str) -> CodeSpec:
             line = line.strip()
             if not line:
                 continue
-            rows.append([parse_coeff(tok, t.F) for tok in re.split(r"[,\s]+", line)])
+            rows.append([parse_coeff(tok, t.F) for tok in split_items(line, "a row")])
         parts_raw = sec.get("parts", "")
         if parts_raw:
             try:
-                part = Partition(tuple(int(x) for x in re.split(r"[,\s]+", parts_raw.strip())))
+                part = Partition(tuple(int(x) for x in split_items(parts_raw, "parts")))
             except ValueError:
                 raise ParseError(f"bad parts {parts_raw!r}")
         else:
@@ -230,7 +234,7 @@ def _params_from_args(args) -> BoundParams:
     if args.kind == "ht":
         return BoundParams("ht", args.b, args.delta, r=args.r, t1=args.t1, t2=args.t2)
     try:
-        ks = tuple(int(x) for x in re.split(r"[,\s]+", args.k.strip()))
+        ks = tuple(int(x) for x in split_items(args.k, "--k"))
     except ValueError:
         raise ParseError(f"--k takes comma-separated integers, got {args.k!r}")
     return BoundParams("roos", args.b, args.delta, r=len(ks) - 1, s=args.s, ks=ks)

@@ -8,6 +8,8 @@ generator matrix, so equality and membership are syntactic.  The exhaustive
 minimum-distance oracle delegates to the numpy kernel in `kernels` and is
 guarded by an enumeration budget (default 2^24, override via SUMRANK_BUDGET)
 that counts all |F|^k codewords, although the kernel visits one per F*-line.
+Cyclic, skew-cyclic and CSC codes are all spans of a polynomial's orbit under
+the block shift rho (x times) and the twisted shift phi (z times).
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import os
 from dataclasses import dataclass
 
 from . import linalg
-from .bivar import BivarPoly, biv_mul, nu_inverse
+# biv_mul stays importable here: benchmark/tracer.py rebinds codes.biv_mul
+from .bivar import BivarPoly, biv_mul, nu_inverse  # noqa: F401
 from .errors import (
     BudgetExceeded,
     CharacteristicDividesEll,
@@ -262,16 +265,24 @@ def is_cyclic_skew_cyclic(C: LinearCode) -> bool:
     return True
 
 
+def shift_orbit_code(t: FieldTower, v, part: Partition) -> LinearCode:
+    """The span of rho^i phi^j(v), i below the number of blocks and j below
+    the block size: the least code holding v that both shifts fix."""
+    orbit = [tuple(v)]
+    for _ in range(1, part.equal_part()):
+        orbit.append(phi_shift(orbit[-1], part, t))
+    rows = list(orbit)
+    for _ in range(1, len(part.parts)):
+        orbit = [rho_shift(w, part) for w in orbit]
+        rows += orbit
+    return LinearCode(t, rows, part)
+
+
 def code_from_skew_generator(g: BivarPoly, t: FieldTower) -> LinearCode:
-    """The code of the left ideal generated by g, via the full monomial orbit."""
+    """The code of the left ideal generated by g: x^i z^j * g is
+    rho^i phi^j(g) as a vector, so it is g's shift orbit."""
     if g.level != "F":
         raise LevelMismatch("a code's generator has coefficients in F")
     if t.ell % t.p == 0:
         raise CharacteristicDividesEll(f"char {t.p} divides ell = {t.ell}")
-    rows = []
-    for i in range(t.ell):
-        for j in range(t.N):
-            mono = BivarPoly.monomial(t, "F", i, j)
-            rows.append(list(nu_inverse(biv_mul(mono, g))))
-    part = Partition.equal(t.ell, t.N)
-    return LinearCode(t, rows, part)
+    return shift_orbit_code(t, nu_inverse(g), Partition.equal(t.ell, t.N))

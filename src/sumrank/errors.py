@@ -117,8 +117,4 @@ class FieldMismatch(SumrankError):
 
 
 class ParseError(SumrankError):
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+    pass

@@ -18,6 +18,14 @@ def trim(coeffs):
     return tuple(c)
 
 
+def wrap(coeffs, length: int, gf: GF):
+    """The coefficient vector mod y^length - 1: y^i adds onto slot i mod length."""
+    out = [0] * length
+    for i, c in enumerate(coeffs):
+        out[i % length] = gf.add(out[i % length], c)
+    return tuple(out)
+
+
 def mul(f, g, gf: GF):
     if not f or not g:
         return ()

@@ -15,7 +15,7 @@ from math import ceil
 
 from .bivar import BivarPoly
 from .bounds import CHECKERS, BoundParams, DefiningSetView
-from .codes import LinearCode, Partition, min_distance_bruteforce
+from .codes import LinearCode, Partition, min_distance_bruteforce, shift_orbit_code
 from .errors import (
     CharacteristicDividesEll,
     FieldMismatch,
@@ -25,7 +25,7 @@ from .errors import (
     NotADivisor,
     PreconditionViolated,
 )
-from .poly import divides, mul, trim, xl_minus_one
+from .poly import divides, mul, trim, wrap, xl_minus_one
 from .skew import SkewPoly, right_divides, sigma_eval
 from .tower import FieldTower, primitive_ell_root
 
@@ -76,42 +76,27 @@ def tensor_code(C1: LinearCode, C2: LinearCode, f1=None, f2=None) -> ProductCode
 
 
 def cyclic_code_from_poly(t: FieldTower, f1) -> LinearCode:
-    """The [ell, ell - deg f1] cyclic code generated by f1 | x^ell - 1."""
-    gf = t.F
+    """The [ell, ell - deg f1] cyclic code generated by f1 | x^ell - 1: the
+    block-shift orbit of f1 mod x^ell - 1 on ell blocks of size 1."""
     f1 = trim(f1)
-    if not divides(f1, xl_minus_one(t.ell, gf), gf):
+    if not divides(f1, xl_minus_one(t.ell, t.F), t.F):
         raise NotADivisor("f1 must divide x^ell - 1")
-    ell = t.ell
-    rows = []
-    for i in range(ell):
-        row = [0] * ell
-        for j, c in enumerate(f1):
-            row[(i + j) % ell] = gf.add(row[(i + j) % ell], c)
-        rows.append(row)
-    return LinearCode(t, rows, Partition.hamming(ell))
+    return shift_orbit_code(t, wrap(f1, t.ell, t.F), Partition.hamming(t.ell))
 
 
 def skew_code_from_poly(t: FieldTower, f2: SkewPoly) -> LinearCode:
-    """The [N, N - deg f2] skew-cyclic code generated by f2 | z^N - 1."""
+    """The [N, N - deg f2] skew-cyclic code generated by f2 | z^N - 1: the
+    twisted-shift orbit of f2 mod z^N - 1 on one block of size N."""
     if f2.level != "F":
         raise LevelMismatch("a code's generator has coefficients in F")
     if not right_divides(f2, SkewPoly.z_pow_minus_one(t, t.N)):
         raise NotADivisor("f2 must be a right divisor of z^N - 1")
-    gf = t.F
-    N = t.N
-    rows = []
-    for i in range(N):
-        # z^i * f2 reduced mod z^N - 1; z^i twists the coefficients
-        row = [0] * N
-        for j, c in enumerate(f2.coeffs):
-            pos = (i + j) % N
-            row[pos] = gf.add(row[pos], t.theta(c, i))
-        rows.append(row)
-    return LinearCode(t, rows, Partition.rank(N))
+    return shift_orbit_code(t, wrap(f2.coeffs, t.N, t.F), Partition.rank(t.N))
 
 
 def product_generator_poly(t: FieldTower, f1, f2: SkewPoly) -> BivarPoly:
-    """g = f1(x) * f2(z) in the bivariate quotient ring."""
+    """g = f1(x) * f2(z) in the bivariate quotient ring: f1 stands on the
+    left, so the coefficient of x^i z^j is f1_i * f2_j, with no twist."""
     if t.ell % t.p == 0:
         raise CharacteristicDividesEll(f"char {t.p} divides ell = {t.ell}")
     gf = t.F
@@ -120,13 +105,8 @@ def product_generator_poly(t: FieldTower, f1, f2: SkewPoly) -> BivarPoly:
         raise NotADivisor("f1 must divide x^ell - 1")
     if not right_divides(f2, SkewPoly.z_pow_minus_one(t, t.N)):
         raise NotADivisor("f2 must be a right divisor of z^N - 1")
-    grid = [[0] * t.N for _ in range(t.ell)]
-    for i, a in enumerate(f1):
-        for j, b in enumerate(f2.coeffs):
-            if a and b:
-                grid[i % t.ell][j % t.N] = gf.add(
-                    grid[i % t.ell][j % t.N], gf.mul(a, b)
-                )
+    row = wrap(f2.coeffs, t.N, gf)
+    grid = [[gf.mul(a, b) for b in row] for a in wrap(f1, t.ell, gf)]
     return BivarPoly.from_lists(t, "F", grid)
 
 

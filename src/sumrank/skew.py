@@ -19,7 +19,7 @@ from .errors import (
     TowerMismatch,
     ZeroBeta,
 )
-from .poly import trim
+from .poly import trim, wrap
 from .tower import FieldTower
 
 
@@ -203,12 +203,7 @@ def ev_beta(f: SkewPoly, beta: int) -> int:
 
 def reduce_mod_zN(f: SkewPoly) -> SkewPoly:
     """Canonical representative modulo the central polynomial z^N - 1."""
-    N = f.tower.N
-    gf = f.field
-    out = [0] * N
-    for i, c in enumerate(f.coeffs):
-        out[i % N] = gf.add(out[i % N], c)
-    return SkewPoly(f.tower, f.level, tuple(out))
+    return SkewPoly(f.tower, f.level, wrap(f.coeffs, f.tower.N, f.field))
 
 
 def to_string(f: SkewPoly, var: str = "z") -> str:

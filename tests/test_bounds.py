@@ -376,6 +376,24 @@ def same_candidates(D, monkeypatch, limits=SearchLimits()):
     assert got == (want, reduced)
 
 
+class TestSoundnessOffCoprimeTowers:
+    """A certificate never claims more than the exact distance.  It fails
+    today where gcd(ell, m) > 1: these product codes have d = 4, while BCH
+    claims 5 on the first and the search claims 5 and 7."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+    @pytest.mark.parametrize("spec, f1, f2, bch", [
+        ((5, 1, 2, 1, 4, 2), (1, 0, 1), (13, 1), BoundParams("bch", 0, 5, t=1)),
+        ((7, 1, 2, 1, 6, 2), (1, 0, 0, 1), (17, 1), None),
+    ], ids=["x^2+1,z+13", "x^3+1,z+17"])
+    def test_claims_within_distance(self, spec, f1, f2, bch):
+        t = build_tower(*spec)
+        g = product_generator_poly(t, f1, SkewPoly(t, "F", f2))
+        D = DefiningSetView.from_generator(t, g)
+        claims = [best_bound_search(D).bound] + ([bch_check(D, bch).bound] if bch else [])
+        assert max(claims) <= min_distance_bruteforce(code_from_skew_generator(g, t))
+
+
 class TestSearchMatchesReference:
     """The depth-first Roos search considers the candidates of the mask loop."""
 

@@ -77,6 +77,15 @@ class TestParsing:
         assert spec.code.k == 2
         assert spec.generator is None
 
+    @pytest.mark.parametrize("sep", [",", ", ", " ", " , ", "\t"], ids=repr)
+    def test_list_separators(self, sep):
+        # items split at a comma, whitespace or both; rows also at ";"
+        rows = "; ".join(sep.join(row) for row in ("100100100", "010010010"))
+        matrix = f"\n[matrix]\nrows = {rows}\nparts = {sep.join('333')}\n"
+        spec = parse_code_spec(TOWER_SECTION + matrix)
+        assert spec.code.G == parse_code_spec(MATRIX_SPEC).code.G
+        assert spec.code.partition.parts == (3, 3, 3)
+
     def test_g_spec(self):
         spec = parse_code_spec(TOWER_SECTION + "\n[generator]\ng = 1\n")
         assert spec.code.k == 9  # full space
@@ -309,6 +318,27 @@ class TestErrorContract:
         argv = ("certify", "roos", "--code", gen_spec_file, "--b", "1", "--s", "1",
                 "--delta", "2", "--k", "a")
         assert self.error(capsys, *argv) == "ParseError"
+
+    @pytest.mark.parametrize("argv", [
+        "code build --code {row}",
+        "code build --code {parts}",
+        "certify roos --code {gen} --b 1 --s 1 --delta 2 --k 0,,1",
+        "certify roos --code {gen} --b 1 --s 1 --delta 2 --k 0,1,",
+    ], ids=["row", "parts", "roos-k", "roos-k-trailing"])
+    def test_empty_list_item(self, capsys, gen_spec_file, tmp_path, argv):
+        # ",," once read as one separator: the row kept nine entries, the
+        # parts read (3, 3, 3) and the offsets (0, 1)
+        row_text = TOWER_SECTION + "\n[matrix]\nrows = 1,,0,0,1,0,0,1,0,0\n"
+        row = spec_file(tmp_path, row_text, "r.code")
+        parts = spec_file(tmp_path, MATRIX_SPEC + "parts = 3,,3,3\n", "p.code")
+        argv = argv.format(row=row, parts=parts, gen=gen_spec_file)
+        assert self.error(capsys, *argv.split()) == "ParseError"
+
+    def test_roos_offsets_with_spaces(self, capsys, gen_spec_file):
+        argv = ("certify", "roos", "--code", gen_spec_file, "--b", "1", "--s", "1", "--delta", "2")
+        outs = [run(capsys, *argv, "--k", k)[1] for k in ("0,1", "0, 1", "0 1")]
+        assert json.loads(outs[0])["certificate"]["params"]["ks"] == [0, 1]
+        assert outs[0] == outs[1] == outs[2]
 
     def test_tower_zero_degree(self, capsys):
         argv = ("tower", "--p", "2", "--m", "0", "--h", "1", "--ell", "1", "--N", "1")

@@ -20,7 +20,7 @@ from sumrank import (
 )
 from sumrank import kernels, linalg
 from sumrank.bivar import BivarPoly, biv_mul, nu_inverse
-from sumrank.codes import block_rank
+from sumrank.codes import block_rank, shift_orbit_code
 from sumrank.errors import (
     BudgetExceeded,
     FieldTooLarge,
@@ -30,6 +30,8 @@ from sumrank.errors import (
     ZeroCode,
 )
 from sumrank.kernels import FieldTables, min_weight
+from sumrank.product import corpus_f1, corpus_f2, product_generator_poly
+from sumrank.skew import SkewPoly
 
 
 def reference_block_rank(tower, block):
@@ -207,6 +209,55 @@ class TestGeneratedCodes:
         g = BivarPoly.from_x_poly(t, "F", [1, 1, 1])
         C = code_from_skew_generator(g, t)
         assert C.contains(list(nu_inverse(g)))
+
+
+def monomial_orbit_code(g, t):
+    """The span of x^i z^j * g through `biv_mul`: a reference for the
+    shift-orbit construction of the left ideal of g."""
+    rows = [
+        nu_inverse(biv_mul(BivarPoly.monomial(t, "F", i, j), g))
+        for i in range(t.ell)
+        for j in range(t.N)
+    ]
+    return LinearCode(t, rows, Partition.equal(t.ell, t.N))
+
+
+class TestShiftOrbit:
+    """code_from_skew_generator equals the monomial orbit through biv_mul."""
+
+    @pytest.mark.parametrize("spec", [
+        (2, 1, 3, 2, 3, 3), (2, 1, 3, 2, 3, 6), (3, 1, 2, 1, 2, 2), (5, 1, 2, 1, 4, 2),
+        (7, 1, 2, 1, 6, 2), (2, 1, 4, 3, 7, 4), (3, 1, 3, 1, 2, 3),
+        # E = F9, F4, F8 and F25
+        (3, 2, 2, 1, 4, 2), (2, 2, 3, 1, 3, 3), (2, 3, 2, 1, 7, 2), (5, 2, 2, 1, 3, 2),
+    ], ids=str)
+    def test_matches_monomial_orbit(self, spec):
+        # g = r * f1(x) * f2(z) with r sparse or dense: k < n, so a shift
+        # that drops its twist or misplaces an entry changes the code
+        t = build_tower(*spec)
+        rng = random.Random(sum(spec))
+        F1 = corpus_f1(t)
+        F2 = corpus_f2(t) if t.N == t.m else [  # z - 1 and z^m - 1 divide z^N - 1 for m | N
+            SkewPoly.z_pow_minus_one(t, 1), SkewPoly.z_pow_minus_one(t, t.m)
+        ]
+        ks = set()
+        for density in (0.1,) * 5 + (1.0,) * 5:
+            grid = [[rng.randrange(t.F.order) if rng.random() < density else 0 for _ in range(t.N)]
+                    for _ in range(t.ell)]
+            grid[rng.randrange(t.ell)][rng.randrange(t.N)] = rng.randrange(1, t.F.order)
+            f = product_generator_poly(t, rng.choice(F1), rng.choice(F2))
+            g = biv_mul(BivarPoly.from_lists(t, "F", grid), f)
+            C = code_from_skew_generator(g, t)
+            assert C.G == monomial_orbit_code(g, t).G
+            ks.add(C.k)
+        assert ks - {0, t.n}
+
+    def test_orbit_of_a_vector(self, tower9):
+        # the orbit of e_0 under rho and phi is the unit vector basis
+        t, part = tower9, Partition.equal(3, 3)
+        e0 = (1,) + (0,) * 8
+        assert shift_orbit_code(t, e0, part) == LinearCode.full_space(t, part)
+        assert shift_orbit_code(t, (0,) * 9, part).k == 0
 
 
 def _scan(C, part):

@@ -6,12 +6,14 @@ from math import ceil, comb
 import pytest
 
 from sumrank import (
+    LinearCode,
     Partition,
     code_from_skew_generator,
     is_cyclic_skew_cyclic,
     min_distance_bruteforce,
     sumrank_weight,
 )
+from sumrank.bivar import BivarPoly, biv_mul
 from sumrank.bounds import BoundParams, DefiningSetView
 from sumrank.codes import block_rank, hamming_weight
 from sumrank.errors import (
@@ -21,7 +23,8 @@ from sumrank.errors import (
     NotADivisor,
     PreconditionViolated,
 )
-from sumrank.poly import divides, divmod_poly, trim, xl_minus_one
+from sumrank.gf import field
+from sumrank.poly import divides, divmod_poly, trim, wrap, xl_minus_one
 from sumrank.product import (
     ProductCode,
     corpus_f1,
@@ -153,6 +156,71 @@ class TestCorpora:
     def test_f2_needs_N_equal_to_m(self):
         with pytest.raises(PreconditionViolated):
             corpus_f2(build_tower(2, 1, 2, 1, 1, 4))
+
+
+def reference_cyclic_code(t, f1):
+    """x^i * f1 mod x^ell - 1 for i < ell, index by index: a reference for
+    the block-shift orbit of `cyclic_code_from_poly`."""
+    gf, ell = t.F, t.ell
+    rows = []
+    for i in range(ell):
+        row = [0] * ell
+        for j, c in enumerate(f1):
+            row[(i + j) % ell] = gf.add(row[(i + j) % ell], c)
+        rows.append(row)
+    return LinearCode(t, rows, Partition.hamming(ell))
+
+
+def reference_skew_code(t, f2):
+    """z^i * f2 mod z^N - 1 for i < N, z^i twisting each coefficient by
+    theta^i: a reference for the twisted-shift orbit of `skew_code_from_poly`."""
+    gf, N = t.F, t.N
+    rows = []
+    for i in range(N):
+        row = [0] * N
+        for j, c in enumerate(f2.coeffs):
+            row[(i + j) % N] = gf.add(row[(i + j) % N], t.theta(c, i))
+        rows.append(row)
+    return LinearCode(t, rows, Partition.rank(N))
+
+
+class TestFactorCodes:
+    """The shift-orbit factor codes equal the index loops on every corpus
+    generator, the zero codes of x^ell - 1 and z^N - 1 included."""
+
+    @pytest.mark.parametrize("spec", [
+        (2, 1, 3, 2, 3, 3), (2, 1, 3, 4, 5, 3), (2, 1, 4, 3, 7, 4), (5, 1, 2, 1, 4, 2),
+        (7, 1, 2, 1, 6, 2), (3, 2, 2, 1, 4, 2), (3, 1, 4, 1, 2, 4), (2, 1, 3, 4, 15, 3),
+    ], ids=str)
+    def test_every_corpus_factor(self, spec):
+        t = build_tower(*spec)
+        F1, F2 = corpus_f1(t), corpus_f2(t)
+        for f1 in F1:
+            assert cyclic_code_from_poly(t, f1).G == reference_cyclic_code(t, f1).G
+        for f2 in F2:
+            assert skew_code_from_poly(t, f2).G == reference_skew_code(t, f2).G
+        assert cyclic_code_from_poly(t, F1[-1]).k == skew_code_from_poly(t, F2[-1]).k == 0
+        # f1 stands on the left of f1(x) * f2(z), so the grid has no twist
+        rng = random.Random(sum(spec))
+        for _ in range(10):
+            f1, f2 = rng.choice(F1), rng.choice(F2)
+            x_part = BivarPoly.from_x_poly(t, "F", f1)
+            z_part = BivarPoly.from_z_poly(t, "F", f2.coeffs)
+            assert product_generator_poly(t, f1, f2) == biv_mul(x_part, z_part)
+
+
+class TestWrap:
+    @pytest.mark.parametrize("p, deg", [(2, 3), (7, 1), (3, 2)])
+    def test_remainder_mod_y_length_minus_one(self, p, deg):
+        # lists up to four times the length: y^i adds onto slot i mod length
+        gf = field(p, deg)
+        rng = random.Random(p * deg)
+        for length in (1, 2, 3, 5):
+            for n in range(4 * length + 2):
+                f = tuple(rng.randrange(gf.order) for _ in range(n))
+                r = divmod_poly(trim(f), xl_minus_one(length, gf), gf)[1]
+                assert wrap(f, length, gf) == r + (0,) * (length - len(r))
+        assert wrap((1, 2, 3, 4, 5), 2, field(7, 1)) == (2, 6)
 
 
 class TestTensorVector:
