@@ -18,7 +18,7 @@ from .errors import (
     TowerMismatch,
     ZeroBeta,
 )
-from .poly import wrap
+from .poly import format_terms, wrap
 from .skew import SkewPoly, right_evaluate
 from .tower import FieldTower
 
@@ -76,23 +76,8 @@ class BivarPoly:
         )
 
     def __str__(self):
-        terms = []
-        for i, row in enumerate(self.coeffs):
-            for j, c in enumerate(row):
-                if c == 0:
-                    continue
-                mono = []
-                if i:
-                    mono.append("x" if i == 1 else f"x^{i}")
-                if j:
-                    mono.append("z" if j == 1 else f"z^{j}")
-                if not mono:
-                    terms.append(str(c))
-                elif c == 1:
-                    terms.append("*".join(mono))
-                else:
-                    terms.append("*".join([str(c)] + mono))
-        return " + ".join(terms) if terms else "0"
+        return format_terms((c, (("x", i), ("z", j)))
+                            for i, row in enumerate(self.coeffs) for j, c in enumerate(row))
 
     @staticmethod
     def zero(tower, level="F"):

@@ -180,11 +180,16 @@ def _list(value, what, length=None):
     return value
 
 
-def _require_checkable(D: DefiningSetView):
+def _require_checkable(D: DefiningSetView, p: BoundParams | None = None):
+    """Also refuses, given params, a field their family does not read."""
     if D.tower.N != D.tower.m:
         raise PreconditionViolated("bound checkers require N = m")
     if D.generator is not None and D.generator.is_zero():
         raise ZeroCode("the zero code has no meaningful bound certificate")
+    if p is not None:
+        for name in ("t", "r", "t1", "t2", "s", "ks"):
+            if name not in READS[p.kind] and getattr(p, name) != (0 if name == "r" else None):
+                raise PreconditionViolated(f"a {p.kind} certificate does not read {name}")
 
 
 def _emit(D: DefiningSetView, p: BoundParams, count, pairs, bound, code_id="") -> BoundCertificate:
@@ -209,7 +214,7 @@ def _emit(D: DefiningSetView, p: BoundParams, count, pairs, bound, code_id="") -
 
 def bch_check(D: DefiningSetView, p: BoundParams, code_id="") -> BoundCertificate:
     t = D.tower
-    _require_checkable(D)
+    _require_checkable(D, p)
     if p.delta < 1:
         raise PreconditionViolated("delta >= 1")
     if p.t is None or gcd(t.n, p.t) != 1:
@@ -220,7 +225,7 @@ def bch_check(D: DefiningSetView, p: BoundParams, code_id="") -> BoundCertificat
 
 def roos_check(D: DefiningSetView, p: BoundParams, code_id="") -> BoundCertificate:
     t = D.tower
-    _require_checkable(D)
+    _require_checkable(D, p)
     if p.delta < 1:
         raise PreconditionViolated("delta >= 1")
     ks = p.ks
@@ -242,7 +247,7 @@ def roos_check(D: DefiningSetView, p: BoundParams, code_id="") -> BoundCertifica
 
 def ht_check(D: DefiningSetView, p: BoundParams, code_id="") -> BoundCertificate:
     t = D.tower
-    _require_checkable(D)
+    _require_checkable(D, p)
     if p.delta < 1:
         raise PreconditionViolated("delta >= 1")
     if p.t1 is None or gcd(t.n, p.t1) != 1:
@@ -262,6 +267,8 @@ def ht_check(D: DefiningSetView, p: BoundParams, code_id="") -> BoundCertificate
 
 
 CHECKERS = {"bch": bch_check, "ht": ht_check, "roos": roos_check}
+# The optional BoundParams fields each family reads; the others stay unset.
+READS = {"bch": ("t",), "ht": ("r", "t1", "t2"), "roos": ("r", "s", "ks")}
 
 
 @dataclass(frozen=True)
@@ -314,21 +321,11 @@ def _candidates(D: DefiningSetView, limits: SearchLimits):
     # residues mod lcm is a bit mask.
     lc = (t.ell * t.m) // gcd(t.ell, t.m)
     gcd_n = [gcd(n, k) for k in range(n)]
-    bch_cap = min(dmax - 1, lc)  # pairs of a BCH progression
 
     # memb reads row (b + e) mod ell, so b and b + ell yield the same
     # candidates and the tie-break keeps the smaller: each start mod ell once
     for b in range(t.ell):
         memb = [D.table[(b + e) % t.ell][e % t.m] for e in range(n)]
-
-        # bch: grow the progression while new pairs are members.  The step
-        # is a unit mod lcm, so the first repeated pair comes at i = lcm.
-        for step in units:
-            i = 0
-            while i < bch_cap and memb[(i * step) % n]:
-                i += 1
-            if i >= 1:
-                yield (i + 1, 0, (b, i + 1, step, -1, -1, -1, ()), 0)
 
         for step in units:
             # base(delta) = {step * i : i < delta - 1} grows by one exponent
@@ -337,11 +334,15 @@ def _candidates(D: DefiningSetView, limits: SearchLimits):
             # for every larger delta.  shift[k] holds the residues of base + k
             # for a good k, so shift[0] is the base's own; each is a translate
             # of the base's distinct residues, so it has delta - 1 of them.
+            # The last delta reached, before a non-member, a repeated residue
+            # (delta - 1 = lcm, as step is a unit mod lcm) or dmax, is BCH's.
             good, shift = range(n), [0] * n
+            reached = 1
             for delta in range(2, dmax + 1):
                 e = (step * (delta - 2)) % n
                 if not memb[e] or shift[0] >> (e % lc) & 1:
                     break
+                reached = delta
                 # ascending, and starts with 0 since the base is all members
                 good = [k for k in good if memb[(e + k) % n]]
                 for k in good:
@@ -389,6 +390,9 @@ def _candidates(D: DefiningSetView, limits: SearchLimits):
                         yield from grow(ks_i, seen | fresh[i], i + 1)
 
                 yield from grow((0,), base, 0)
+
+            if reached >= 2:
+                yield (reached, 0, (b, reached, step, -1, -1, -1, ()), 0)
 
 
 # -- linearized Reed-Solomon rank oracles -----------------------------------

@@ -19,18 +19,7 @@ MAX_ORDER = 1 << 16
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return _prime_factors(n) == [n]
 
 
 def check_order(p: int, deg: int) -> None:

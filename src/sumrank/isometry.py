@@ -2,14 +2,16 @@
 
 Group elements are tuples (scalars, block matrices over E, block
 permutation, Frobenius power); the permutation may only exchange blocks of
-equal size.  Everything here is desk scale: enumeration helpers walk whole
-general linear groups, so they are only meant for tiny parameters.
+equal size.  Hamming and rank isometries act through the sum-rank action, on
+the two extreme partitions (ell blocks of size 1, one block of size N).
+Everything here is desk scale: enumeration helpers walk whole general
+linear groups, so they are only meant for tiny parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import accumulate, product as iproduct
 
 from . import linalg
 from .codes import LinearCode, Partition, enumeration_budget, hamming_weight
@@ -112,17 +114,12 @@ def act_sumrank(g: SumRankIsometry, c, part: Partition, tower: FieldTower):
     if len(c) != part.n:
         raise ShapeMismatch("vector length mismatch")
     ell = len(part.parts)
-    offs = [0]
-    for p in part.parts:
-        offs.append(offs[-1] + p)
-    inv = [0] * ell
-    for i, pi in enumerate(g.perm):
-        inv[pi] = i
+    offs = [0, *accumulate(part.parts)]
+    inv = {pi: i for i, pi in enumerate(g.perm)}
     gf = tower.F
     out = []
     for i in range(ell):
-        src = inv[i]
-        block = c[offs[src] : offs[src + 1]]
+        block = c[offs[inv[i]] : offs[inv[i] + 1]]
         scaled = tuple(gf.mul(g.scalars[i], v) for v in block)
         twisted = tuple(gf.frob(v, g.theta_pow) for v in scaled)
         out.extend(_apply_matrix(tower, twisted, g.matrices[i]))
@@ -130,21 +127,15 @@ def act_sumrank(g: SumRankIsometry, c, part: Partition, tower: FieldTower):
 
 
 def act_hamming(g: HammingIsometry, c, tower: FieldTower):
-    ell = len(c)
-    if len(g.scalars) != ell or len(g.perm) != ell:
-        raise ShapeMismatch("isometry does not match the vector length")
-    gf = tower.F
-    inv = [0] * ell
-    for i, pi in enumerate(g.perm):
-        inv[pi] = i
-    return tuple(
-        gf.frob(gf.mul(g.scalars[i], c[inv[i]]), g.theta_pow) for i in range(ell)
-    )
+    """The sum-rank action on ell blocks of size 1, every matrix (1)."""
+    h = SumRankIsometry(g.scalars, (((1,),),) * len(g.scalars), g.perm, g.theta_pow)
+    return act_sumrank(h, c, Partition.hamming(len(c)), tower)
 
 
 def act_rank(g: RankIsometry, c, tower: FieldTower):
-    twisted = tuple(tower.F.frob(v, g.theta_pow) for v in c)
-    return _apply_matrix(tower, twisted, g.matrix)
+    """The sum-rank action on one block of size N, scalar 1."""
+    h = SumRankIsometry((1,), (g.matrix,), (0,), g.theta_pow)
+    return act_sumrank(h, c, Partition.rank(len(c)), tower)
 
 
 def apply_to_code(g: SumRankIsometry, C: LinearCode) -> LinearCode:

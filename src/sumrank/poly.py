@@ -18,6 +18,18 @@ def trim(coeffs):
     return tuple(c)
 
 
+def format_terms(terms) -> str:
+    """Text of the terms (c, ((var, e), ...)): zero terms and v^0 dropped, no
+    unit coefficient before a monomial, v^1 as v, and "0" for no terms."""
+    out = []
+    for c, powers in terms:
+        if c == 0:
+            continue
+        mono = [v if e == 1 else f"{v}^{e}" for v, e in powers if e]
+        out.append("*".join(mono if c == 1 and mono else [str(c)] + mono))
+    return " + ".join(out) or "0"
+
+
 def wrap(coeffs, length: int, gf: GF):
     """The coefficient vector mod y^length - 1: y^i adds onto slot i mod length."""
     out = [0] * length
@@ -59,7 +71,9 @@ def divmod_poly(f, g, gf: GF):
 
 
 def divides(f, g, gf: GF) -> bool:
-    """Whether f divides g."""
+    """Whether f divides g; the zero polynomial divides only zero."""
+    if not any(f):
+        return not any(g)
     return divmod_poly(g, f, gf)[1] == ()
 
 

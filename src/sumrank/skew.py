@@ -4,7 +4,9 @@ Multiplication follows z^i z^j = z^{i+j} and z*a = twist(a)*z, where the
 twist is theta on F-level coefficients and sigma on L-level ones.  Right
 evaluation at `a` is the remainder of right division by (z - a); the fast
 path uses the product chain N_i(a) = twist^{i-1}(a)...twist(a)*a, with the
-division route kept as an independent oracle for tests.
+division route kept as an independent oracle for tests.  Trimming, z^n - 1
+and printing reuse the helpers of `poly` (the twist plays no part in them),
+and subtraction adds the negated operand.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .errors import (
     TowerMismatch,
     ZeroBeta,
 )
-from .poly import trim, wrap
+from .poly import format_terms, trim, wrap, xl_minus_one
 from .tower import FieldTower
 
 
@@ -38,10 +40,7 @@ class SkewPoly:
     def __post_init__(self):
         if self.level not in ("F", "L"):
             raise LevelMismatch(f"skew coefficients live in F or L, not {self.level}")
-        c = list(self.coeffs)
-        while c and c[-1] == 0:
-            c.pop()
-        object.__setattr__(self, "coeffs", tuple(c))
+        object.__setattr__(self, "coeffs", trim(self.coeffs))
 
     @property
     def degree(self) -> int:
@@ -75,14 +74,8 @@ class SkewPoly:
         )
 
     def __sub__(self, other):
-        self._check(other)
-        gf = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        return SkewPoly(
-            self.tower,
-            self.level,
-            tuple(gf.sub(self.coeff(i), other.coeff(i)) for i in range(n)),
-        )
+        neg = tuple(other.field.neg(c) for c in other.coeffs)
+        return self + SkewPoly(other.tower, other.level, neg)
 
     def __mul__(self, other):
         return skew_mul(self, other)
@@ -94,7 +87,7 @@ class SkewPoly:
         return SkewPoly(t, "L", tuple(t.lift(c, "F", "L") for c in self.coeffs))
 
     def __str__(self):
-        return to_string(self, "z")
+        return format_terms((c, (("z", i),)) for i, c in enumerate(self.coeffs))
 
     @staticmethod
     def zero(tower, level="F"):
@@ -106,11 +99,7 @@ class SkewPoly:
 
     @staticmethod
     def z_pow_minus_one(tower, n, level="F"):
-        gf = tower.gf(level)
-        c = [0] * (n + 1)
-        c[0] = gf.neg(1)
-        c[n] = 1
-        return SkewPoly(tower, level, tuple(c))
+        return SkewPoly(tower, level, xl_minus_one(n, tower.gf(level)))
 
 
 def skew_mul(f: SkewPoly, g: SkewPoly) -> SkewPoly:
@@ -158,7 +147,9 @@ def right_divide(f: SkewPoly, g: SkewPoly):
 
 
 def right_divides(g: SkewPoly, f: SkewPoly) -> bool:
-    """Whether g is a right divisor of f."""
+    """Whether g is a right divisor of f; zero right-divides only zero."""
+    if g.is_zero():
+        return f.is_zero()
     return right_divide(f, g)[1].is_zero()
 
 
@@ -204,22 +195,6 @@ def ev_beta(f: SkewPoly, beta: int) -> int:
 def reduce_mod_zN(f: SkewPoly) -> SkewPoly:
     """Canonical representative modulo the central polynomial z^N - 1."""
     return SkewPoly(f.tower, f.level, wrap(f.coeffs, f.tower.N, f.field))
-
-
-def to_string(f: SkewPoly, var: str = "z") -> str:
-    if f.is_zero():
-        return "0"
-    terms = []
-    for i, c in enumerate(f.coeffs):
-        if c == 0:
-            continue
-        if i == 0:
-            terms.append(str(c))
-        elif i == 1:
-            terms.append(var if c == 1 else f"{c}*{var}")
-        else:
-            terms.append(f"{var}^{i}" if c == 1 else f"{c}*{var}^{i}")
-    return " + ".join(terms)
 
 
 _COEFF_RE = re.compile(r"g(?:\^(\d+))?|\d+")

@@ -13,6 +13,7 @@ from sumrank.bivar import (
     nu_map,
     psi_map,
 )
+from sumrank import build_tower
 from sumrank.errors import NotRootOfUnity
 from sumrank.skew import skew_mul
 from sumrank.tower import primitive_ell_root
@@ -24,6 +25,56 @@ def _rand_bivar(t, rng, level="F"):
         [rng.randrange(gf.order) for _ in range(t.N)] for _ in range(t.ell)
     ]
     return BivarPoly.from_lists(t, level, grid)
+
+
+def reference_str(g: BivarPoly) -> str:
+    """The renderer BivarPoly printed through before `poly.format_terms`."""
+    terms = []
+    for i, row in enumerate(g.coeffs):
+        for j, c in enumerate(row):
+            if c == 0:
+                continue
+            mono = []
+            if i:
+                mono.append("x" if i == 1 else f"x^{i}")
+            if j:
+                mono.append("z" if j == 1 else f"z^{j}")
+            if not mono:
+                terms.append(str(c))
+            elif c == 1:
+                terms.append("*".join(mono))
+            else:
+                terms.append("*".join([str(c)] + mono))
+    return " + ".join(terms) if terms else "0"
+
+
+class TestPrinting:
+    def test_exact_strings(self, tower9):
+        def s(cells):
+            grid = [[0] * 3 for _ in range(3)]
+            for (i, j), c in cells.items():
+                grid[i][j] = c
+            return str(BivarPoly.from_lists(tower9, "F", grid))
+
+        assert s({}) == "0" and s({(0, 0): 1}) == "1" and s({(0, 0): 6}) == "6"
+        assert s({(0, 1): 1, (1, 0): 1, (1, 1): 1}) == "z + x + x*z"
+        assert s({(0, 2): 5, (2, 0): 1, (2, 2): 3}) == "5*z^2 + x^2 + 3*x^2*z^2"
+
+    @pytest.mark.parametrize("spec", [(2, 1, 3, 2, 3, 3), (3, 1, 2, 1, 2, 2)], ids=str)
+    @pytest.mark.parametrize("level", ["F", "L"])
+    def test_matches_reference_renderer(self, spec, level):
+        t = build_tower(*spec)
+        gf = t.gf(level)
+        rng = random.Random(repr((spec, level)))
+        for _ in range(200):
+            pick = rng.choice([[0], [0, 1], [0, 0, 1, None], [None]])
+            grid = [
+                [rng.randrange(gf.order) if c is None else c for c in
+                 (rng.choice(pick) for _ in range(t.N))]
+                for _ in range(t.ell)
+            ]
+            g = BivarPoly.from_lists(t, level, grid)
+            assert str(g) == reference_str(g)
 
 
 class TestRingStructure:

@@ -126,6 +126,25 @@ class TestCheckers:
             CHECKERS[params.kind](D, params)
         assert err.value.which == "delta >= 1"
 
+    @pytest.mark.parametrize("params, name", [
+        (BoundParams("bch", 1, 3, t=1, r=5), "r"),
+        (BoundParams("bch", 1, 3, t=1, s=3), "s"),
+        (BoundParams("bch", 1, 3, t=1, ks=(0, 9)), "ks"),
+        (BoundParams("bch", 1, 3, t=1, t1=1), "t1"),
+        (BoundParams("ht", 1, 2, r=1, t1=1, t2=1, t=1), "t"),
+        (BoundParams("ht", 1, 2, r=1, t1=1, t2=1, s=1), "s"),
+        (BoundParams("ht", 1, 2, r=1, t1=1, t2=1, ks=(0, 1)), "ks"),
+        (BoundParams("roos", 1, 2, r=1, s=1, ks=(0, 1), t=1), "t"),
+        (BoundParams("roos", 1, 2, r=1, s=1, ks=(0, 1), t2=1), "t2"),
+    ], ids=lambda v: v if isinstance(v, str) else v.kind)
+    def test_unread_field_refused(self, example, params, name):
+        # each family checks only its own fields, so another one would be
+        # echoed back as if it had been checked
+        _, _, _, D = example
+        with pytest.raises(PreconditionViolated) as err:
+            CHECKERS[params.kind](D, params)
+        assert err.value.which == f"a {params.kind} certificate does not read {name}"
+
     def test_repeated_pairs_rejected(self, tower9):
         # with ell = m = 3 a step-pattern repeats pairs every 3 exponents;
         # an all-member predicate isolates the distinctness check

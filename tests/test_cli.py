@@ -31,6 +31,17 @@ f1 = x^2+x+1
 f2 = z+1
 """
 
+# F2 / F16 / F8 / F2^12, n = 28: its codes give search winners of all three kinds
+TOWER28_SECTION = """\
+[tower]
+p = 2
+e_deg = 1
+m = 4
+h = 3
+ell = 7
+N = 4
+"""
+
 MATRIX_SPEC = TOWER_SECTION + """
 [matrix]
 rows = 1 0 0 1 0 0 1 0 0
@@ -166,6 +177,22 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["verified"] is True
 
+    @pytest.mark.parametrize("spec, kind", [
+        (GEN_SPEC, "bch"),
+        (TOWER28_SECTION + "\n[generator]\nf1 = x+1\nf2 = z^2+13*z+9\n", "ht"),
+        (TOWER28_SECTION + "\n[generator]\nf1 = x^4+x^2+x+1\nf2 = z^2+14*z+13\n", "roos"),
+    ], ids=["bch", "ht", "roos"])
+    def test_search_and_verify_round_trip(self, capsys, tmp_path, spec, kind):
+        path = spec_file(tmp_path, spec)
+        code, out, _ = run(capsys, "search", "--code", path)
+        cert = json.loads(out)["certificate"]
+        assert code == 0 and cert["kind"] == kind
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(cert))
+        code, out, _ = run(capsys, "verify", "--certificate", str(cert_path), "--code", path)
+        assert code == 0
+        assert json.loads(out)["verified"] is True
+
     def test_certify_missing_pair_exit_2(self, capsys, gen_spec_file):
         code, _, err = run(
             capsys, "certify", "bch", "--code", gen_spec_file,
@@ -293,6 +320,24 @@ class TestErrorContract:
             cert["params"]["b"] = "x"
 
         assert self.verify_edited(capsys, gen_spec_file, tmp_path, spoil) == "ParseError"
+
+    def test_certificate_field_the_family_does_not_read(self, capsys, tmp_path):
+        # a BCH certificate reads t only: r, s and ks would be echoed unchecked
+        path = spec_file(tmp_path, TOWER_SECTION + "\n[generator]\nf1 = x+1\nf2 = z+1\n")
+        _, out, _ = run(capsys, "search", "--code", path)
+        cert = json.loads(out)["certificate"]
+        assert cert["params"] == {"kind": "bch", "b": 0, "delta": 2, "r": 0, "t": 1}
+        cert["params"].update(r=5, s=3, ks=[0, 9])
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(cert))
+        argv = ("verify", "--certificate", str(cert_path), "--code", path)
+        assert self.error(capsys, *argv) == "PreconditionViolated"
+
+    @pytest.mark.parametrize("factors", ["f1 = 0\nf2 = z+1", "f1 = x+1\nf2 = 0"], ids=["f1", "f2"])
+    @pytest.mark.parametrize("command", [("code", "build"), ("search",)], ids=" ".join)
+    def test_zero_factor_is_not_a_divisor(self, capsys, tmp_path, factors, command):
+        path = spec_file(tmp_path, TOWER_SECTION + f"\n[generator]\n{factors}\n")
+        assert self.error(capsys, *command, "--code", path) == "NotADivisor"
 
     def test_certificate_of_another_tower(self, capsys, gen_spec_file, tmp_path):
         def retower(cert):

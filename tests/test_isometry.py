@@ -82,6 +82,62 @@ class TestAction:
             act_sumrank(bad, (0,) * 9, part, tower9)
 
 
+class TestHammingAndRankActions:
+    """The two extreme partitions of the sum-rank action, against their
+    elementwise formulas and on the isometries they must refuse."""
+
+    def test_hamming_action_elementwise(self, tower9):
+        t = tower9
+        rng = random.Random(62)
+        for _ in range(100):
+            ell = rng.randrange(1, 7)
+            perm = list(range(ell))
+            rng.shuffle(perm)
+            scalars = tuple(rng.randrange(1, 8) for _ in range(ell))
+            g = HammingIsometry(scalars, tuple(perm), rng.randrange(3))
+            c = tuple(rng.randrange(8) for _ in range(ell))
+            src = {image: i for i, image in enumerate(perm)}  # src[i] = perm^-1(i)
+            expect = tuple(
+                t.F.frob(t.F.mul(scalars[i], c[src[i]]), g.theta_pow) for i in range(ell)
+            )
+            assert act_hamming(g, c, t) == expect
+
+    def test_rank_action_elementwise(self, tower9):
+        t = tower9
+        gl = general_linear_group(3, t.E)
+        rng = random.Random(63)
+        for _ in range(100):
+            M, theta_pow = rng.choice(gl), rng.randrange(3)
+            c = tuple(rng.randrange(8) for _ in range(3))
+            twisted = [t.F.frob(v, theta_pow) for v in c]
+            expect = []
+            for col in range(3):
+                acc = 0
+                for j in range(3):
+                    acc = t.F.add(acc, t.F.mul(twisted[j], t.lift(M[j][col], "E", "F")))
+                expect.append(acc)
+            assert act_rank(RankIsometry(M, theta_pow), c, t) == tuple(expect)
+
+    @pytest.mark.parametrize("g, c", [
+        (HammingIsometry((1, 0, 1), (0, 1, 2)), (1, 2, 3)),  # zero scalar
+        (HammingIsometry((1, 1, 1), (0, 0, 1)), (1, 2, 3)),  # not a permutation
+        (HammingIsometry((1, 1, 1), (0, 1, 2)), (1, 2)),  # length mismatch
+    ], ids=["zero-scalar", "perm-001", "length"])
+    def test_hamming_refusals(self, tower9, g, c):
+        with pytest.raises(ShapeMismatch):
+            act_hamming(g, c, tower9)
+
+    @pytest.mark.parametrize("M, c", [
+        (((1, 0), (0, 0)), (1, 2)),  # singular: (1, 2) would map to (1, 0)
+        (((1, 0), (0, 1)), (1, 2, 3)),  # vector longer than the matrix
+        (((1, 0), (0, 1)), (1,)),  # vector shorter than the matrix
+        (((1, 0, 0), (0, 1, 0)), (1, 2)),  # not square
+    ], ids=["singular", "long", "short", "non-square"])
+    def test_rank_refusals(self, tower4, M, c):
+        with pytest.raises(ShapeMismatch):
+            act_rank(RankIsometry(M), c, tower4)
+
+
 class TestRealizers:
     def test_rho_element_matches_shift(self, tower9):
         t = tower9

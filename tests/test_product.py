@@ -17,6 +17,7 @@ from sumrank.bivar import BivarPoly, biv_mul
 from sumrank.bounds import BoundParams, DefiningSetView
 from sumrank.codes import block_rank, hamming_weight
 from sumrank.errors import (
+    DivisionByZero,
     FieldMismatch,
     GeneratorNotOverE,
     LevelMismatch,
@@ -287,6 +288,28 @@ class TestGeneratorPolynomial:
     def test_not_a_divisor(self, tower9):
         with pytest.raises(NotADivisor):
             product_generator_poly(tower9, (1, 0, 1), SkewPoly(tower9, "F", (1, 1)))
+
+    def test_zero_factor_is_not_a_divisor(self, tower9):
+        # the zero polynomial divides only zero, so f1 = 0 or f2 = 0 fails the
+        # divisor hypothesis instead of dividing by zero
+        t = tower9
+        zero, f2 = SkewPoly.zero(t), SkewPoly(t, "F", (1, 1))
+        for build in (
+            lambda: cyclic_code_from_poly(t, ()),
+            lambda: cyclic_code_from_poly(t, (0, 0)),
+            lambda: skew_code_from_poly(t, zero),
+            lambda: product_generator_poly(t, (), f2),
+            lambda: product_generator_poly(t, (1, 1), zero),
+        ):
+            with pytest.raises(NotADivisor):
+                build()
+
+    def test_zero_divides_only_zero(self, tower9):
+        gf = tower9.F
+        assert divides((), (), gf) and divides((1, 1), (), gf)
+        assert not divides((), (1, 1), gf) and not divides((0,), xl_minus_one(3, gf), gf)
+        with pytest.raises(DivisionByZero):
+            divmod_poly((1, 1), (), gf)
 
     def test_distance_factorizes(self, tower9):
         # the frozen spec pair: [3,1,3] repetition x [3,2] with f2 = z + 1

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from sumrank import build_tower
 from sumrank.errors import DivisionByZero, ZeroBeta
+from sumrank.poly import format_terms
 from sumrank.skew import (
     SkewPoly,
     ev_beta,
@@ -27,6 +29,36 @@ def _rand_poly(t, rng, level="F", maxdeg=4):
     return SkewPoly(t, level, tuple(coeffs))
 
 
+def reference_to_string(f: SkewPoly, var: str = "z") -> str:
+    """The renderer SkewPoly printed through before `poly.format_terms`."""
+    if f.is_zero():
+        return "0"
+    terms = []
+    for i, c in enumerate(f.coeffs):
+        if c == 0:
+            continue
+        if i == 0:
+            terms.append(str(c))
+        elif i == 1:
+            terms.append(var if c == 1 else f"{c}*{var}")
+        else:
+            terms.append(f"{var}^{i}" if c == 1 else f"{c}*{var}^{i}")
+    return " + ".join(terms)
+
+
+def _sparse_poly(t, rng, level):
+    """Up to 6 coefficients, many of them 0 or 1, with trailing zeros."""
+    gf = t.gf(level)
+    pick = [0, 0, 1, 1, None]
+    coeffs = [rng.choice(pick) for _ in range(rng.randrange(7))]
+    coeffs = [rng.randrange(gf.order) if c is None else c for c in coeffs]
+    return SkewPoly(t, level, tuple(coeffs + [0] * rng.randrange(3)))
+
+
+# F8 over F2, and F9 over F3 where subtraction is not addition
+TOWERS = [(2, 1, 3, 2, 3, 3), (3, 1, 2, 1, 2, 2)]
+
+
 class TestArithmetic:
     def test_twisted_product_example(self, tower4):
         # (z + 1)(z + w) = w + w z + z^2 over F4 with theta = squaring
@@ -44,6 +76,56 @@ class TestArithmetic:
         for _ in range(100):
             f, g, h = (_rand_poly(tower9, rng, maxdeg=3) for _ in range(3))
             assert skew_mul(skew_mul(f, g), h).coeffs == skew_mul(f, skew_mul(g, h)).coeffs
+
+
+class TestSubtraction:
+    @pytest.mark.parametrize("spec", TOWERS, ids=str)
+    @pytest.mark.parametrize("level", ["F", "L"])
+    def test_sub_undoes_add(self, spec, level):
+        t = build_tower(*spec)
+        gf = t.gf(level)
+        rng = random.Random(repr((spec, level)))
+        for _ in range(60):
+            f, g = _sparse_poly(t, rng, level), _sparse_poly(t, rng, level)
+            d = f - g
+            assert (d + g).coeffs == f.coeffs
+            assert (f - f).is_zero()
+            n = max(len(f.coeffs), len(g.coeffs))
+            expect = [gf.sub(f.coeff(i), g.coeff(i)) for i in range(n)]
+            assert d == SkewPoly(t, level, tuple(expect))
+
+    def test_odd_characteristic_example(self):
+        t = build_tower(3, 1, 2, 1, 2, 2)
+        one, two = SkewPoly.one(t), SkewPoly(t, "F", (t.F.neg(1),))
+        assert (SkewPoly.zero(t) - one) == two and (one - two).coeffs == (t.F.add(1, 1),)
+
+
+class TestPrinting:
+    def test_exact_strings(self, tower9):
+        def s(*coeffs):
+            return str(SkewPoly(tower9, "F", coeffs))
+
+        assert s() == s(0, 0) == "0"
+        assert s(1) == "1" and s(5) == "5"
+        assert s(0, 1) == "z" and s(0, 3) == "3*z"
+        assert s(1, 1, 0, 1) == "1 + z + z^3"
+        assert s(2, 0, 7, 0) == "2 + 7*z^2"
+
+    @pytest.mark.parametrize("spec", TOWERS, ids=str)
+    @pytest.mark.parametrize("level", ["F", "L"])
+    def test_matches_reference_renderer(self, spec, level):
+        t = build_tower(*spec)
+        rng = random.Random(repr((spec, level, "str")))
+        for _ in range(200):
+            f = _sparse_poly(t, rng, level)
+            assert str(f) == reference_to_string(f)
+
+    def test_format_terms(self):
+        assert format_terms([]) == "0"
+        assert format_terms([(0, (("x", 1),)), (0, ())]) == "0"
+        assert format_terms([(1, ()), (1, (("x", 0), ("z", 0)))]) == "1 + 1"
+        terms = [(4, (("x", 0), ("z", 1))), (1, (("x", 2), ("z", 1))), (3, (("x", 1), ("z", 3)))]
+        assert format_terms(terms) == "4*z + x^2*z + 3*x*z^3"
 
 
 class TestDivision:
@@ -72,6 +154,12 @@ class TestDivision:
         p = SkewPoly(tower4, "F", (2, 2, 1))
         assert right_divides(SkewPoly(tower4, "F", (2, 1)), p)
         assert not right_divides(SkewPoly(tower4, "F", (1, 1)), p)
+
+    def test_zero_right_divides_only_zero(self, tower9):
+        zero, f = SkewPoly.zero(tower9), SkewPoly(tower9, "F", (1, 1))
+        assert right_divides(zero, zero) and right_divides(f, zero)
+        assert not right_divides(zero, f)
+        assert not right_divides(zero, SkewPoly.z_pow_minus_one(tower9, 3))
 
 
 class TestEvaluation:

@@ -13,10 +13,20 @@ from sumrank.errors import (
     NotPrime,
     RootsOfUnityAbsent,
 )
-from sumrank.gf import _digits, _undigits, field, find_embedding
+from sumrank.gf import _digits, _undigits, field, find_embedding, is_prime
 
 
 class TestGF:
+    def test_is_prime_matches_a_sieve(self):
+        # every p that check_order lets through, and one past 2^16
+        top = (1 << 16) + 1
+        sieve = bytearray([0, 0]) + bytearray([1]) * (top - 1)
+        for d in range(2, int(top**0.5) + 1):
+            if sieve[d]:
+                sieve[d * d :: d] = bytearray(len(range(d * d, top + 1, d)))
+        assert [n for n in range(top + 1) if is_prime(n)] == [n for n in range(top + 1) if sieve[n]]
+        assert is_prime(top) and not any(is_prime(n) for n in (-7, -2, -1, 0, 1, 4, 65535))
+
     def test_moduli_are_deterministic(self):
         # lexicographically smallest primitive moduli, as integer encodings
         assert field(2, 3).modulus_int() == 11  # x^3 + x + 1
