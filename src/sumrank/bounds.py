@@ -134,16 +134,14 @@ class BoundCertificate:
     @classmethod
     def from_dict(cls, data) -> "BoundCertificate":
         """The certificate `as_dict` describes; ParseError on a missing key,
-        an unknown kind or a field that is not an integer."""
+        an unknown kind or a field that is not an integer (b and delta may
+        not be null)."""
         _object(data, ("params", "bound", "grid"), "certificate")
         pd = _object(data["params"], ("kind", "b", "delta"), "certificate params")
         if not isinstance(pd["kind"], str) or pd["kind"] not in CHECKERS:
             raise ParseError(f"unknown certificate kind {pd['kind']!r}")
-        fields = {
-            key: _integer(pd[key], key)
-            for key in ("b", "delta", "r", "t", "t1", "t2", "s")
-            if pd.get(key) is not None
-        }
+        optional = [key for key in ("r", "t", "t1", "t2", "s") if pd.get(key) is not None]
+        fields = {key: _integer(pd[key], key) for key in ("b", "delta", *optional)}
         if pd.get("ks") is not None:
             fields["ks"] = tuple(_integer(k, "ks") for k in _list(pd["ks"], "ks"))
         grid = tuple(

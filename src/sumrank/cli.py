@@ -100,17 +100,16 @@ def parse_code_spec(text: str) -> CodeSpec:
         raise ParseError(str(exc))
     if "tower" not in cp:
         raise ParseError("missing [tower] section")
-    tw = cp["tower"]
+    tw = dict(cp["tower"])
+    tw.setdefault("N", tw.get("n"))
+    keys = ("p", "m", "h", "ell", "N")
+    missing = [key for key in keys if tw.get(key) is None]
+    if missing:
+        raise ParseError(f"[tower] lacks {', '.join(missing)}")
     try:
-        t = build_tower(
-            int(tw.get("p")),
-            int(tw.get("e_deg", 1)),
-            int(tw.get("m")),
-            int(tw.get("h")),
-            int(tw.get("ell")),
-            int(tw.get("N", tw.get("n"))),
-        )
-    except (TypeError, ValueError) as exc:
+        p, m, h, ell, N = (int(tw[key]) for key in keys)
+        t = build_tower(p, int(tw.get("e_deg", 1)), m, h, ell, N)
+    except ValueError as exc:
         raise ParseError(f"bad [tower] section: {exc}")
     if "matrix" in cp:
         sec = cp["matrix"]

@@ -2,9 +2,11 @@
 
 A LinearCode is an F-subspace of F^n, its entries F-encodings; the sum-rank
 weight of a vector adds the ranks over E of its blocks: the dimensions of
-their E-spans, which `block_rank` closes inside F, independent of the
-kernel's Moore-matrix ranks.  A code is canonically represented by the RREF of its
-generator matrix, so equality and membership are syntactic.  The exhaustive
+their E-spans, which `span_rank` closes inside F, once per distinct block
+and tower; after that `block_rank` and `sumrank_weight` look the rank up.
+The oracle still shares nothing with the kernel's Moore-matrix ranks.  A
+code is canonically represented by the RREF of its generator matrix, so
+equality and membership are syntactic.  The exhaustive
 minimum-distance oracle delegates to the numpy kernel in `kernels` and is
 guarded by an enumeration budget (default 2^24, override via SUMRANK_BUDGET)
 that counts all |F|^k codewords, although the kernel visits one per F*-line.
@@ -67,7 +69,7 @@ class Partition:
         return Partition((n,))
 
 
-def block_rank(tower: FieldTower, block) -> int:
+def span_rank(tower: FieldTower, block) -> int:
     """Dimension of the E-span of the block's F entries, closed one entry at
     a time; E's units in F are F.exp[::(|F| - 1) / (|E| - 1)], as the
     subfield of that order is unique."""
@@ -82,13 +84,27 @@ def block_rank(tower: FieldTower, block) -> int:
     return rank
 
 
+def _rank(tower: FieldTower, ranks: dict, block: tuple) -> int:
+    rank = ranks.get(block)
+    if rank is None:
+        rank = ranks[block] = span_rank(tower, block)
+    return rank
+
+
+def block_rank(tower: FieldTower, block) -> int:
+    """The block's `span_rank`, closed once per tower and looked up after."""
+    return _rank(tower, _rank_cache.setdefault(tower, {}), tuple(block))
+
+
 def sumrank_weight(tower, c, part: Partition) -> int:
     if len(c) != part.n:
         raise LengthMismatch(f"vector length {len(c)} != partition sum {part.n}")
+    ranks = _rank_cache.setdefault(tower, {})
+    c = tuple(c)
     w = 0
     off = 0
     for p in part.parts:
-        w += block_rank(tower, c[off : off + p])
+        w += _rank(tower, ranks, c[off : off + p])
         off += p
     return w
 
@@ -186,6 +202,7 @@ def _metric_partition(C: LinearCode, metric: str) -> Partition:
 
 _tables_cache = {}  # tower -> FieldTables
 _distance_cache = {}  # (tower, parts, G) -> distance
+_rank_cache = {}  # tower -> {block tuple: span_rank}
 
 
 def enumeration_budget() -> int:

@@ -321,6 +321,15 @@ class TestErrorContract:
 
         assert self.verify_edited(capsys, gen_spec_file, tmp_path, spoil) == "ParseError"
 
+    @pytest.mark.parametrize("key", ["b", "delta"])
+    def test_certificate_null_required_param(self, capsys, gen_spec_file, tmp_path, key):
+        # a null b or delta once passed the key check and made BoundParams raise
+        # TypeError: a traceback and exit 1
+        def blank(cert):
+            cert["params"][key] = None
+
+        assert self.verify_edited(capsys, gen_spec_file, tmp_path, blank) == "ParseError"
+
     def test_certificate_field_the_family_does_not_read(self, capsys, tmp_path):
         # a BCH certificate reads t only: r, s and ks would be echoed unchecked
         path = spec_file(tmp_path, TOWER_SECTION + "\n[generator]\nf1 = x+1\nf2 = z+1\n")
@@ -384,6 +393,17 @@ class TestErrorContract:
         outs = [run(capsys, *argv, "--k", k)[1] for k in ("0,1", "0, 1", "0 1")]
         assert json.loads(outs[0])["certificate"]["params"]["ks"] == [0, 1]
         assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize(
+        "keys", [("p",), ("m",), ("h",), ("ell",), ("N",), ("p", "ell")], ids="-".join
+    )
+    def test_tower_key_missing(self, capsys, tmp_path, keys):
+        lines = [line for line in GEN_SPEC.splitlines() if line.split(" = ")[0] not in keys]
+        path = spec_file(tmp_path, "\n".join(lines) + "\n")
+        code, _, err = run(capsys, "code", "build", "--code", path)
+        assert code == 2
+        message = f"[tower] lacks {', '.join(keys)}"
+        assert json.loads(err) == {"error": "ParseError", "message": message}
 
     def test_tower_zero_degree(self, capsys):
         argv = ("tower", "--p", "2", "--m", "0", "--h", "1", "--ell", "1", "--N", "1")

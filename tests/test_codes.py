@@ -18,9 +18,9 @@ from sumrank import (
     rho_shift,
     sumrank_weight,
 )
-from sumrank import kernels, linalg
+from sumrank import codes, kernels, linalg
 from sumrank.bivar import BivarPoly, biv_mul, nu_inverse
-from sumrank.codes import block_rank, shift_orbit_code
+from sumrank.codes import block_rank, shift_orbit_code, span_rank
 from sumrank.errors import (
     BudgetExceeded,
     FieldTooLarge,
@@ -106,6 +106,49 @@ class TestWeights:
                 block.append(v)
             rng.shuffle(block)
             assert block_rank(t, block) == reference_block_rank(t, block)
+
+    # F = F16 on both: E = F2 on the first tower, E = F4 on the second
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["F2-first", "F4-first"])
+    def test_rank_memo_is_keyed_by_tower(self, monkeypatch, order):
+        monkeypatch.setattr(codes, "_rank_cache", {})
+        towers = [build_tower(2, 1, 4, 3, 7, 4), build_tower(2, 2, 2, 1, 3, 2)]
+        blocks = [(a, b) for a in range(16) for b in range(16)]
+        got = {}
+        for i in order:
+            got[i] = [block_rank(towers[i], block) for block in blocks]
+            assert got[i] == [reference_block_rank(towers[i], block) for block in blocks]
+        assert got[0] != got[1]
+
+    @pytest.mark.parametrize("tuple_first", [True, False], ids=["tuple-first", "list-first"])
+    def test_list_and_tuple_share_ranks(self, tower9, monkeypatch, tuple_first):
+        monkeypatch.setattr(codes, "_rank_cache", {})
+        rng = random.Random(9)
+        part = Partition.equal(3, 3)
+        kinds = (tuple, list) if tuple_first else (list, tuple)
+        for _ in range(50):
+            c = [rng.randrange(8) for _ in range(9)]
+            want = reference_block_rank(tower9, c[:3])
+            assert [block_rank(tower9, kind(c[:3])) for kind in kinds] == [want, want]
+            want = sum(reference_block_rank(tower9, c[i : i + 3]) for i in (0, 3, 6))
+            assert [sumrank_weight(tower9, kind(c), part) for kind in kinds] == [want, want]
+
+    def test_each_block_closed_once(self, tower9, monkeypatch):
+        # the E-span closure runs once per distinct block of a tower; a scan
+        # that repeats it per block is the slow path this guards against
+        closed = []
+
+        def counted(tower, block):
+            closed.append(block)
+            return span_rank(tower, block)
+
+        monkeypatch.setattr(codes, "_rank_cache", {})
+        monkeypatch.setattr(codes, "span_rank", counted)
+        C = LinearCode(tower9, [[1, 2, 3, 0, 4, 5, 6, 7, 1], [0, 0, 1, 1, 2, 3, 5, 0, 7],
+                                [4, 0, 0, 6, 1, 0, 2, 2, 3]], Partition.equal(3, 3))
+        blocks = {cw[i : i + 3] for cw in C.codewords() if any(cw) for i in (0, 3, 6)}
+        for _ in range(2):
+            assert min(sumrank_weight(tower9, cw, C.partition) for cw in C.codewords() if any(cw))
+            assert len(closed) == len(set(closed)) == len(blocks)
 
     def test_unequal_parts_guard(self):
         with pytest.raises(UnequalParts):
