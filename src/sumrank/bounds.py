@@ -179,7 +179,7 @@ def _list(value, what, length=None):
 
 
 def _require_checkable(D: DefiningSetView, p: BoundParams | None = None):
-    """Also refuses, given params, a field their family does not read."""
+    """Also refuses, given params, a field their family does not read, and delta < 1."""
     if D.tower.N != D.tower.m:
         raise PreconditionViolated("bound checkers require N = m")
     if D.generator is not None and D.generator.is_zero():
@@ -188,17 +188,19 @@ def _require_checkable(D: DefiningSetView, p: BoundParams | None = None):
         for name in ("t", "r", "t1", "t2", "s", "ks"):
             if name not in READS[p.kind] and getattr(p, name) != (0 if name == "r" else None):
                 raise PreconditionViolated(f"a {p.kind} certificate does not read {name}")
+        if p.delta < 1:
+            raise PreconditionViolated("delta >= 1")
 
 
-def _emit(D: DefiningSetView, p: BoundParams, count, pairs, bound, code_id="") -> BoundCertificate:
-    """Check the `count` pairs that `pairs` yields; more than the ell * m of
-    the grid cannot be distinct, so they are refused before being listed."""
+def _emit(D: DefiningSetView, p: BoundParams, count, exps, bound, code_id="") -> BoundCertificate:
+    """Check the pairs ((b + e) mod ell, e mod m) of the `count` exponents in
+    `exps`; more than the grid's ell * m cannot be distinct, so are refused first."""
     t = D.tower
     if count > t.ell * t.m:
         raise PreconditionViolated(f"{count} evaluation pairs exceed the {t.ell} x {t.m} grid")
     reduced = []
-    for ae, se in pairs:
-        key = (ae % t.ell, se % t.m)
+    for e in exps:
+        key = ((p.b + e) % t.ell, e % t.m)
         if not D.grid_member(*key):
             raise GridNotContained(key)
         reduced.append(key)
@@ -213,19 +215,15 @@ def _emit(D: DefiningSetView, p: BoundParams, count, pairs, bound, code_id="") -
 def bch_check(D: DefiningSetView, p: BoundParams, code_id="") -> BoundCertificate:
     t = D.tower
     _require_checkable(D, p)
-    if p.delta < 1:
-        raise PreconditionViolated("delta >= 1")
     if p.t is None or gcd(t.n, p.t) != 1:
         raise PreconditionViolated("gcd(n, t) = 1")
-    pairs = ((p.b + i * p.t, i * p.t) for i in range(p.delta - 1))
-    return _emit(D, p, p.delta - 1, pairs, p.delta, code_id)
+    exps = (i * p.t for i in range(p.delta - 1))
+    return _emit(D, p, p.delta - 1, exps, p.delta, code_id)
 
 
 def roos_check(D: DefiningSetView, p: BoundParams, code_id="") -> BoundCertificate:
     t = D.tower
     _require_checkable(D, p)
-    if p.delta < 1:
-        raise PreconditionViolated("delta >= 1")
     ks = p.ks
     if p.s is None or gcd(t.n, p.s) != 1:
         raise PreconditionViolated("gcd(n, s) = 1")
@@ -239,15 +237,13 @@ def roos_check(D: DefiningSetView, p: BoundParams, code_id="") -> BoundCertifica
         raise PreconditionViolated("k_r - k_0 <= delta + r - 2")
     if p.delta < 2 and p.r > 0:
         raise PreconditionViolated("delta >= 2 when r > 0")
-    pairs = ((p.b + p.s * i + k, p.s * i + k) for i in range(p.delta - 1) for k in ks)
-    return _emit(D, p, (p.delta - 1) * len(ks), pairs, p.delta + p.r, code_id)
+    exps = (p.s * i + k for i in range(p.delta - 1) for k in ks)
+    return _emit(D, p, (p.delta - 1) * len(ks), exps, p.delta + p.r, code_id)
 
 
 def ht_check(D: DefiningSetView, p: BoundParams, code_id="") -> BoundCertificate:
     t = D.tower
     _require_checkable(D, p)
-    if p.delta < 1:
-        raise PreconditionViolated("delta >= 1")
     if p.t1 is None or gcd(t.n, p.t1) != 1:
         raise PreconditionViolated("gcd(n, t1) = 1")
     if p.t2 is None or gcd(t.n, p.t2) >= p.delta:
@@ -256,12 +252,8 @@ def ht_check(D: DefiningSetView, p: BoundParams, code_id="") -> BoundCertificate
         raise PreconditionViolated("r >= 0")
     if p.delta < 2 and p.r > 0:
         raise PreconditionViolated("delta >= 2 when r > 0")
-    pairs = (
-        (p.b + i * p.t1 + s * p.t2, i * p.t1 + s * p.t2)
-        for i in range(p.delta - 1)
-        for s in range(p.r + 1)
-    )
-    return _emit(D, p, (p.delta - 1) * (p.r + 1), pairs, p.delta + p.r, code_id)
+    exps = (i * p.t1 + s * p.t2 for i in range(p.delta - 1) for s in range(p.r + 1))
+    return _emit(D, p, (p.delta - 1) * (p.r + 1), exps, p.delta + p.r, code_id)
 
 
 CHECKERS = {"bch": bch_check, "ht": ht_check, "roos": roos_check}

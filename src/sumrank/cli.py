@@ -91,16 +91,39 @@ class CodeSpec:
         return DefiningSetView(t, None, common_zeros(t, [nu_map(r, t) for r in self.code.G]))
 
 
+# the keys of each section a code spec may have
+SPEC_KEYS = {
+    "tower": ("p", "e_deg", "m", "h", "ell", "N", "n"),
+    "matrix": ("rows", "parts"),
+    "generator": ("g", "f1", "f2"),
+}
+
+
 def parse_code_spec(text: str) -> CodeSpec:
-    cp = configparser.ConfigParser()
+    """Read a code spec strictly: an unknown section or key, a spec with both
+    [matrix] and [generator], N next to n, or g next to f1 or f2 is refused."""
+    # with no default section, [DEFAULT] is refused as an unknown section
+    # instead of lending its keys to every other one; a value is read as
+    # written, so a "%" in it is a bad token, not an interpolation
+    cp = configparser.ConfigParser(default_section="", interpolation=None)
     cp.optionxform = str  # keep key case: N and n differ
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ParseError(str(exc))
+    for name in cp.sections():
+        if name not in SPEC_KEYS:
+            raise ParseError(f"unknown section [{name}]")
+        unknown = [key for key in cp[name] if key not in SPEC_KEYS[name]]
+        if unknown:
+            raise ParseError(f"[{name}] takes no {', '.join(unknown)}")
+    if "matrix" in cp and "generator" in cp:
+        raise ParseError("a spec takes a [matrix] or a [generator] section, not both")
     if "tower" not in cp:
         raise ParseError("missing [tower] section")
     tw = dict(cp["tower"])
+    if "N" in tw and "n" in tw:
+        raise ParseError("[tower] takes N or n, not both")
     tw.setdefault("N", tw.get("n"))
     keys = ("p", "m", "h", "ell", "N")
     missing = [key for key in keys if tw.get(key) is None]
@@ -132,8 +155,10 @@ def parse_code_spec(text: str) -> CodeSpec:
         return CodeSpec(t, code)
     if "generator" in cp:
         sec = cp["generator"]
-        if sec.get("g"):
-            g = parse_bivar(sec.get("g"), t)
+        if "g" in sec:
+            if "f1" in sec or "f2" in sec:
+                raise ParseError("[generator] takes g= or f1= and f2=, not both")
+            g = parse_bivar(sec["g"], t)
             code = code_from_skew_generator(g, t)
             return CodeSpec(t, code, generator=g)
         f1_text, f2_text = sec.get("f1"), sec.get("f2")
@@ -165,27 +190,39 @@ def load_code_spec(path: str) -> CodeSpec:
 def _render(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report, indent=2, sort_keys=True)
-    lines = []
+    return "\n".join(_text_lines(report))
 
-    def walk(obj, indent=0):
-        pad = "  " * indent
-        if isinstance(obj, dict):
-            for k in sorted(obj):
-                v = obj[k]
-                if isinstance(v, (dict, list)):
-                    lines.append(f"{pad}{k}:")
-                    walk(v, indent + 1)
-                else:
-                    lines.append(f"{pad}{k}: {v}")
-        elif isinstance(obj, list):
-            for v in obj:
-                if isinstance(v, (dict, list)):
-                    walk(v, indent + 1)
-                else:
-                    lines.append(f"{pad}- {v}")
 
-    walk(report)
-    return "\n".join(lines)
+def _inline(value):
+    """A scalar, a list of scalars or an empty dict as one line; None otherwise."""
+    if isinstance(value, dict):
+        return None if value else "{}"
+    if isinstance(value, list):
+        if any(isinstance(v, (dict, list)) for v in value):
+            return None
+        return "[" + ", ".join(map(str, value)) + "]"
+    return str(value)
+
+
+def _text_lines(obj, pad=""):
+    """`key: value` per dict entry (keys sorted) and `- item` per list item;
+    a nested value goes on the lines below its key, one level further in, and
+    a nested list item starts on its marker's line."""
+    if isinstance(obj, dict):
+        items = [(f"{k}:", obj[k]) for k in sorted(obj)]
+    else:
+        items = [("-", v) for v in obj]
+    for head, value in items:
+        text = _inline(value)
+        if text is not None:
+            yield f"{pad}{head} {text}"
+        elif head == "-":
+            first, *rest = _text_lines(value, pad + "  ")
+            yield f"{pad}- {first.lstrip()}"
+            yield from rest
+        else:
+            yield f"{pad}{head}"
+            yield from _text_lines(value, pad + "  ")
 
 
 def _report(args, payload: dict, timings: dict | None = None) -> None:

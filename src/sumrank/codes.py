@@ -26,7 +26,6 @@ from . import linalg
 from .bivar import BivarPoly, biv_mul, nu_inverse  # noqa: F401
 from .errors import (
     BudgetExceeded,
-    CharacteristicDividesEll,
     InvalidParameter,
     LengthMismatch,
     LevelMismatch,
@@ -197,7 +196,7 @@ def _metric_partition(C: LinearCode, metric: str) -> Partition:
         return Partition.hamming(C.n)
     if metric == "rank":
         return Partition.rank(C.n)
-    raise ValueError(f"unknown metric {metric!r}")
+    raise InvalidParameter(f"unknown metric {metric!r}")
 
 
 _tables_cache = {}  # tower -> FieldTables
@@ -300,6 +299,4 @@ def code_from_skew_generator(g: BivarPoly, t: FieldTower) -> LinearCode:
     rho^i phi^j(g) as a vector, so it is g's shift orbit."""
     if g.level != "F":
         raise LevelMismatch("a code's generator has coefficients in F")
-    if t.ell % t.p == 0:
-        raise CharacteristicDividesEll(f"char {t.p} divides ell = {t.ell}")
     return shift_orbit_code(t, nu_inverse(g), Partition.equal(t.ell, t.N))

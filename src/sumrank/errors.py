@@ -49,10 +49,6 @@ class UnequalParts(SumrankError):
     pass
 
 
-class CharacteristicDividesEll(SumrankError):
-    pass
-
-
 class BudgetExceeded(SumrankError):
     def __init__(self, needed, budget):
         super().__init__(f"enumeration of {needed} codewords exceeds budget {budget}")

@@ -2,8 +2,9 @@
 
 Group elements are tuples (scalars, block matrices over E, block
 permutation, Frobenius power); the permutation may only exchange blocks of
-equal size.  Hamming and rank isometries act through the sum-rank action, on
-the two extreme partitions (ell blocks of size 1, one block of size N).
+equal size.  Hamming and rank isometries are sum-rank isometries on the two
+extreme partitions (ell blocks of size 1, one block of size N), and the
+shifts rho and phi are their embeddings iota_H and iota_R.
 Everything here is desk scale: enumeration helpers walk whole general
 linear groups, so they are only meant for tiny parameters.
 """
@@ -30,23 +31,6 @@ def lambda_signature(part: Partition):
             seen.append(p)
             counts.append(1)
     return tuple(counts)
-
-
-@dataclass(frozen=True)
-class HammingIsometry:
-    """(a, theta, pi) acting on F^ell; theta_pow counts p-power Frobenius."""
-
-    scalars: tuple
-    perm: tuple
-    theta_pow: int = 0
-
-
-@dataclass(frozen=True)
-class RankIsometry:
-    """(M, theta) acting on F^N with M over E."""
-
-    matrix: tuple  # N x N rows over E
-    theta_pow: int = 0
 
 
 @dataclass(frozen=True)
@@ -81,8 +65,9 @@ class SumRankIsometry:
         return SumRankIsometry((1,) * ell, mats, tuple(range(ell)), 0)
 
 
-def identity_matrix(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+def identity_matrix(n, c=1):
+    """c times the n x n identity."""
+    return tuple(tuple(c if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def cycle_matrix(n):
@@ -126,16 +111,14 @@ def act_sumrank(g: SumRankIsometry, c, part: Partition, tower: FieldTower):
     return tuple(out)
 
 
-def act_hamming(g: HammingIsometry, c, tower: FieldTower):
-    """The sum-rank action on ell blocks of size 1, every matrix (1)."""
-    h = SumRankIsometry(g.scalars, (((1,),),) * len(g.scalars), g.perm, g.theta_pow)
-    return act_sumrank(h, c, Partition.hamming(len(c)), tower)
+def hamming_isometry(scalars, perm, theta_pow=0) -> SumRankIsometry:
+    """(a, pi, theta) on F^ell: ell blocks of size 1, every matrix (1)."""
+    return SumRankIsometry(tuple(scalars), (((1,),),) * len(scalars), tuple(perm), theta_pow)
 
 
-def act_rank(g: RankIsometry, c, tower: FieldTower):
-    """The sum-rank action on one block of size N, scalar 1."""
-    h = SumRankIsometry((1,), (g.matrix,), (0,), g.theta_pow)
-    return act_sumrank(h, c, Partition.rank(len(c)), tower)
+def rank_isometry(M, theta_pow=0) -> SumRankIsometry:
+    """(M, theta) on F^N with M over E: one block of size N, scalar 1."""
+    return SumRankIsometry((1,), (M,), (0,), theta_pow)
 
 
 def apply_to_code(g: SumRankIsometry, C: LinearCode) -> LinearCode:
@@ -147,43 +130,35 @@ def is_automorphism(g: SumRankIsometry, C: LinearCode) -> bool:
     return apply_to_code(g, C) == C
 
 
-def rho_element(part: Partition) -> SumRankIsometry:
-    """The block-shift realizer (1, (I,...,I), block cycle, id)."""
+def iota_H(g: SumRankIsometry, part: Partition) -> SumRankIsometry:
+    """Embed a Hamming isometry: its matrix (c) at position i becomes c * I
+    on block i, so every block is acted on as its position was."""
+    N = part.equal_part()
+    if len(g.scalars) != len(part.parts) or any(tuple(map(len, M)) != (1,) for M in g.matrices):
+        raise UnequalParts("a Hamming isometry has one 1 x 1 matrix per block")
+    mats = tuple(identity_matrix(N, M[0][0]) for M in g.matrices)
+    return SumRankIsometry(g.scalars, mats, g.perm, g.theta_pow)
+
+
+def iota_R(g: SumRankIsometry, part: Partition) -> SumRankIsometry:
+    """Embed a rank isometry: its scalar and matrix on every block, no permutation."""
     N = part.equal_part()
     ell = len(part.parts)
-    perm = tuple((i + 1) % ell for i in range(ell))
-    return SumRankIsometry((1,) * ell, tuple(identity_matrix(N) for _ in range(ell)), perm, 0)
+    if len(g.matrices) != 1 or len(g.matrices[0]) != N:
+        raise UnequalParts("rank isometry size does not match the block size")
+    return SumRankIsometry(g.scalars * ell, g.matrices * ell, tuple(range(ell)), g.theta_pow)
+
+
+def rho_element(part: Partition) -> SumRankIsometry:
+    """The block shift rho: iota_H of the cyclic shift of the ell positions."""
+    ell = len(part.parts)
+    return iota_H(hamming_isometry((1,) * ell, [(i + 1) % ell for i in range(ell)]), part)
 
 
 def phi_element(part: Partition, tower: FieldTower) -> SumRankIsometry:
-    """The twisted in-block shift realizer (1, (P,...,P), id, theta)."""
-    N = part.equal_part()
-    ell = len(part.parts)
-    P = cycle_matrix(N)
-    theta_pow = tower.e_deg * tower.h  # theta as a power of the p-Frobenius
-    return SumRankIsometry((1,) * ell, tuple(P for _ in range(ell)), tuple(range(ell)), theta_pow)
-
-
-def iota_H(g: HammingIsometry, part: Partition) -> SumRankIsometry:
-    """Embed a Hamming isometry: identity matrices on every block."""
-    N = part.equal_part()
-    ell = len(part.parts)
-    if len(g.scalars) != ell:
-        raise UnequalParts("Hamming isometry length does not match the block count")
-    return SumRankIsometry(
-        g.scalars, tuple(identity_matrix(N) for _ in range(ell)), g.perm, g.theta_pow
-    )
-
-
-def iota_R(g: RankIsometry, part: Partition) -> SumRankIsometry:
-    """Embed a rank isometry: the same matrix on every block, no permutation."""
-    N = part.equal_part()
-    ell = len(part.parts)
-    if len(g.matrix) != N:
-        raise UnequalParts("rank isometry size does not match the block size")
-    return SumRankIsometry(
-        (1,) * ell, tuple(g.matrix for _ in range(ell)), tuple(range(ell)), g.theta_pow
-    )
+    """The twisted shift phi: iota_R of the cyclic shift of the N positions
+    with theta, the (e_deg * h)-th power of the p-Frobenius."""
+    return iota_R(rank_isometry(cycle_matrix(part.equal_part()), tower.e_deg * tower.h), part)
 
 
 def all_matrices(n, gf):

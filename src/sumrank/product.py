@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil
 
-from .bivar import BivarPoly
+from .bivar import BivarPoly, nu_map
 from .bounds import CHECKERS, BoundParams, DefiningSetView
 from .codes import LinearCode, Partition, min_distance_bruteforce, shift_orbit_code
 from .errors import (
-    CharacteristicDividesEll,
     FieldMismatch,
     GeneratorNotOverE,
     LengthMismatch,
@@ -75,39 +74,40 @@ def tensor_code(C1: LinearCode, C2: LinearCode, f1=None, f2=None) -> ProductCode
     return ProductCode(C1, C2, code, f1, f2)
 
 
-def cyclic_code_from_poly(t: FieldTower, f1) -> LinearCode:
-    """The [ell, ell - deg f1] cyclic code generated by f1 | x^ell - 1: the
-    block-shift orbit of f1 mod x^ell - 1 on ell blocks of size 1."""
+def _f1_vector(t: FieldTower, f1):
+    """f1 mod x^ell - 1 as a length-ell vector, once f1 | x^ell - 1."""
     f1 = trim(f1)
     if not divides(f1, xl_minus_one(t.ell, t.F), t.F):
         raise NotADivisor("f1 must divide x^ell - 1")
-    return shift_orbit_code(t, wrap(f1, t.ell, t.F), Partition.hamming(t.ell))
+    return wrap(f1, t.ell, t.F)
 
 
-def skew_code_from_poly(t: FieldTower, f2: SkewPoly) -> LinearCode:
-    """The [N, N - deg f2] skew-cyclic code generated by f2 | z^N - 1: the
-    twisted-shift orbit of f2 mod z^N - 1 on one block of size N."""
+def _f2_vector(t: FieldTower, f2: SkewPoly):
+    """f2 mod z^N - 1 as a length-N vector, once f2 is over F and right-divides it."""
     if f2.level != "F":
         raise LevelMismatch("a code's generator has coefficients in F")
     if not right_divides(f2, SkewPoly.z_pow_minus_one(t, t.N)):
         raise NotADivisor("f2 must be a right divisor of z^N - 1")
-    return shift_orbit_code(t, wrap(f2.coeffs, t.N, t.F), Partition.rank(t.N))
+    return wrap(f2.coeffs, t.N, t.F)
+
+
+def cyclic_code_from_poly(t: FieldTower, f1) -> LinearCode:
+    """The [ell, ell - deg f1] cyclic code generated by f1 | x^ell - 1: the
+    block-shift orbit of f1 on ell blocks of size 1."""
+    return shift_orbit_code(t, _f1_vector(t, f1), Partition.hamming(t.ell))
+
+
+def skew_code_from_poly(t: FieldTower, f2: SkewPoly) -> LinearCode:
+    """The [N, N - deg f2] skew-cyclic code generated by f2 | z^N - 1: the
+    twisted-shift orbit of f2 on one block of size N."""
+    return shift_orbit_code(t, _f2_vector(t, f2), Partition.rank(t.N))
 
 
 def product_generator_poly(t: FieldTower, f1, f2: SkewPoly) -> BivarPoly:
     """g = f1(x) * f2(z) in the bivariate quotient ring: f1 stands on the
-    left, so the coefficient of x^i z^j is f1_i * f2_j, with no twist."""
-    if t.ell % t.p == 0:
-        raise CharacteristicDividesEll(f"char {t.p} divides ell = {t.ell}")
-    gf = t.F
-    f1 = trim(f1)
-    if not divides(f1, xl_minus_one(t.ell, gf), gf):
-        raise NotADivisor("f1 must divide x^ell - 1")
-    if not right_divides(f2, SkewPoly.z_pow_minus_one(t, t.N)):
-        raise NotADivisor("f2 must be a right divisor of z^N - 1")
-    row = wrap(f2.coeffs, t.N, gf)
-    grid = [[gf.mul(a, b) for b in row] for a in wrap(f1, t.ell, gf)]
-    return BivarPoly.from_lists(t, "F", grid)
+    left, so the coefficient of x^i z^j is f1_i * f2_j, with no twist; as a
+    vector that is the tensor of the factors' vectors."""
+    return nu_map(tensor_vector(t, _f1_vector(t, f1), _f2_vector(t, f2)), t)
 
 
 def product_defining_set(t: FieldTower, f1, f2: SkewPoly):

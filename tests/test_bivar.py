@@ -14,7 +14,7 @@ from sumrank.bivar import (
     psi_map,
 )
 from sumrank import build_tower
-from sumrank.errors import NotRootOfUnity
+from sumrank.errors import LengthMismatch, NotRootOfUnity
 from sumrank.skew import skew_mul
 from sumrank.tower import primitive_ell_root
 
@@ -104,6 +104,21 @@ class TestRingStructure:
         t = tower9
         vec = tuple(rng.randrange(8) for _ in range(9))
         assert nu_inverse(nu_map(vec, t)) == vec
+
+    @pytest.mark.parametrize("length", [0, 8, 10])
+    def test_nu_map_length_mismatch(self, tower9, length):
+        with pytest.raises(LengthMismatch):
+            nu_map((1,) * length, tower9)
+
+    @pytest.mark.parametrize("grid", [
+        [[1, 0, 0], [0, 0, 0]],  # two rows for ell = 3
+        [[1, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]],  # four rows
+        [[1, 0], [0, 0], [0, 0]],  # rows of two for N = 3
+        [[1, 0, 0], [0, 0, 0], [0, 0, 0, 0]],  # one long row
+    ], ids=["short", "long", "narrow", "ragged"])
+    def test_grid_shape_mismatch(self, tower9, grid):
+        with pytest.raises(LengthMismatch):
+            BivarPoly.from_lists(tower9, "F", grid)
 
 
 class TestEvaluation:

@@ -118,13 +118,26 @@ class TestCheckers:
     @pytest.mark.parametrize("params", [
         BoundParams("roos", 0, 0, r=0, s=1, ks=(0,)),
         BoundParams("ht", 0, 0, r=0, t1=1, t2=1),
-    ], ids=["roos", "ht"])
+        BoundParams("bch", 0, 0),  # before the missing step is named
+    ], ids=["roos", "ht", "bch"])
     def test_delta_below_one_named(self, example, params):
         # checked first, as the window and gcd(n, t2) hypotheses assume it
         _, _, _, D = example
         with pytest.raises(PreconditionViolated) as err:
             CHECKERS[params.kind](D, params)
         assert err.value.which == "delta >= 1"
+
+    @pytest.mark.parametrize("params, name", [
+        (BoundParams("bch", 0, 0, s=1), "s"),
+        (BoundParams("ht", 0, 0, t=1), "t"),
+        (BoundParams("roos", 0, 0, t2=1), "t2"),
+    ], ids=["bch", "ht", "roos"])
+    def test_unread_field_named_before_delta(self, example, params, name):
+        # one delta check, after the unread fields, in every family
+        _, _, _, D = example
+        with pytest.raises(PreconditionViolated) as err:
+            CHECKERS[params.kind](D, params)
+        assert err.value.which == f"a {params.kind} certificate does not read {name}"
 
     @pytest.mark.parametrize("params, name", [
         (BoundParams("bch", 1, 3, t=1, r=5), "r"),

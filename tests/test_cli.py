@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import sumrank
-from sumrank.cli import main, parse_bivar, parse_code_spec
+from sumrank.cli import _render, main, parse_bivar, parse_code_spec
 from sumrank.errors import ParseError
 from sumrank.skew import parse_poly
 from sumrank.tower import build_tower
@@ -271,6 +271,40 @@ class TestSubcommands:
         assert code == 0
         assert "d: 3" in out
 
+    def test_text_format_marks_list_items(self, capsys, gen_spec_file):
+        # a delta = 3 certificate has a two-pair grid: one marked line per
+        # pair, where the pairs once printed as four bare "- n" lines
+        argv = ("certify", "bch", "--code", gen_spec_file, "--b", "1", "--t", "1", "--delta", "3")
+        code, out, _ = run(capsys, *argv, "--format", "text")
+        assert code == 0
+        lines = out.splitlines()
+        at = lines.index("  grid:")
+        assert lines[at + 1 : at + 4] == ["    - [1, 0]", "    - [2, 1]", "  kind: bch"]
+        assert "  params:" in lines and "    b: 1" in lines and "    delta: 3" in lines
+
+    def test_text_format_of_product_bounds(self, capsys, gen_spec_file):
+        argv = ("product", "--code1", gen_spec_file, "--code2", gen_spec_file)
+        _, out_json, _ = run(capsys, *argv)
+        code, out, _ = run(capsys, *argv, "--format", "text")
+        assert code == 0
+        bound = json.loads(out_json)["bounds"][0]["bound"]
+        lines = out.splitlines()
+        at = lines.index("bounds:")
+        assert lines[at + 1] == f"  - bound: {bound}"
+        assert lines[at + 2].startswith("    code_id: ")
+        assert "      - [1, 0]" in lines
+
+    def test_text_rendering(self):
+        report = {"a": [[1, 0], [2, 1]], "b": [{"x": 1, "y": [3]}, {"z": {}}], "c": [],
+                  "d": [[[5]], 6], "e": None}
+        assert _render(report, "text").splitlines() == [
+            "a:", "  - [1, 0]", "  - [2, 1]",
+            "b:", "  - x: 1", "    y: [3]", "  - z: {}",
+            "c: []",
+            "d:", "  - - [5]", "  - 6",
+            "e: None",
+        ]
+
     def test_matrix_spec_distance(self, capsys, tmp_path):
         path = tmp_path / "m.code"
         path.write_text(MATRIX_SPEC)
@@ -404,6 +438,48 @@ class TestErrorContract:
         assert code == 2
         message = f"[tower] lacks {', '.join(keys)}"
         assert json.loads(err) == {"error": "ParseError", "message": message}
+
+    @pytest.mark.parametrize("text, message", [
+        (GEN_SPEC.replace("e_deg = 1", "e-deg = 2"), "[tower] takes no e-deg"),
+        (TOWER_SECTION + "n = 3\n\n[generator]\ng = 1\n", "[tower] takes N or n, not both"),
+        (TOWER_SECTION + "\n[generator]\ng = 1\nf1 = x+1\nf2 = z+1\n",
+         "[generator] takes g= or f1= and f2=, not both"),
+        (TOWER_SECTION + "\n[generator]\ng = 1\nf2 = z+1\n",
+         "[generator] takes g= or f1= and f2=, not both"),
+        (MATRIX_SPEC + "\n[generator]\ng = 1\n",
+         "a spec takes a [matrix] or a [generator] section, not both"),
+        (GEN_SPEC + "f3 = 1\n", "[generator] takes no f3"),
+        (MATRIX_SPEC + "part = 9\nrow = 1\n", "[matrix] takes no part, row"),
+        (GEN_SPEC + "\n[notes]\nauthor = me\n", "unknown section [notes]"),
+        ("[DEFAULT]\ne_deg = 2\n\n" + GEN_SPEC, "unknown section [DEFAULT]"),
+        ("[DEFAULT]\n\n" + GEN_SPEC, "unknown section [DEFAULT]"),
+        (GEN_SPEC.replace("z+1", "z+%(p)s"), "bad term '%(p)s'"),
+    ], ids=["e-deg", "N-and-n", "g-f1-f2", "g-f2", "matrix-and-generator", "generator-key",
+            "matrix-keys", "section", "default-keys", "default-empty", "percent"])
+    def test_strict_spec(self, capsys, tmp_path, text, message):
+        # each of these was once read without a word: e-deg = 2 built an e_deg = 1
+        # tower, g = 1 beside f1/f2 built the full space, the matrix won over
+        # the generator, and unknown keys and sections (also through
+        # [DEFAULT]) were dropped; a "%" was a configparser traceback
+        path = spec_file(tmp_path, text)
+        code, _, err = run(capsys, "code", "build", "--code", path)
+        assert code == 2
+        assert json.loads(err) == {"error": "ParseError", "message": message}
+
+    def test_lowercase_n_still_reads(self, capsys, tmp_path):
+        text = GEN_SPEC.replace("N = 3", "n = 3")
+        outs = [run(capsys, "code", "build", "--code", spec_file(tmp_path, spec))[1]
+                for spec in (GEN_SPEC, text)]
+        assert json.loads(outs[0])["code"]["k"] == 2
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("command", [("code", "build"), ("distance",)], ids=" ".join)
+    def test_zero_part_is_a_length_mismatch(self, capsys, tmp_path, command):
+        path = spec_file(tmp_path, MATRIX_SPEC + "parts = 0 9\n")
+        code, _, err = run(capsys, *command, "--code", path)
+        assert code == 2
+        message = "partition parts must be positive"
+        assert json.loads(err) == {"error": "LengthMismatch", "message": message}
 
     def test_tower_zero_degree(self, capsys):
         argv = ("tower", "--p", "2", "--m", "0", "--h", "1", "--ell", "1", "--N", "1")

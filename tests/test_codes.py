@@ -24,6 +24,8 @@ from sumrank.codes import block_rank, shift_orbit_code, span_rank
 from sumrank.errors import (
     BudgetExceeded,
     FieldTooLarge,
+    InvalidParameter,
+    LengthMismatch,
     LevelMismatch,
     SumrankError,
     UnequalParts,
@@ -154,6 +156,19 @@ class TestWeights:
         with pytest.raises(UnequalParts):
             Partition((2, 3)).equal_part()
 
+    def test_length_mismatch(self, tower9):
+        part = Partition.equal(3, 3)
+        for build in (
+            lambda: Partition((0, 9)),
+            lambda: Partition(()),
+            lambda: sumrank_weight(tower9, (1,) * 8, part),
+            lambda: sumrank_weight(tower9, (1,) * 10, part),
+            lambda: LinearCode(tower9, [[1] * 8], part),
+            lambda: LinearCode(tower9, [[1] * 9], part).contains((1,) * 8),
+        ):
+            with pytest.raises(LengthMismatch):
+                build()
+
 
 class TestLinearCode:
     def test_rref_canonical_and_contains(self, tower9):
@@ -199,6 +214,12 @@ class TestLinearCode:
         with pytest.raises(ZeroCode):
             min_distance_bruteforce(C)
 
+    def test_unknown_metric(self, tower9):
+        # a named error, as the CLI reports every SumrankError as JSON
+        C = LinearCode(tower9, [[1] * 9], Partition.equal(3, 3))
+        with pytest.raises(InvalidParameter, match="unknown metric 'foo'"):
+            min_distance_bruteforce(C, metric="foo")
+
     def test_budget_guard(self, tower9, monkeypatch):
         monkeypatch.setenv("SUMRANK_BUDGET", "100")
         C = LinearCode.full_space(tower9, Partition.equal(3, 3))
@@ -231,6 +252,14 @@ class TestShifts:
         for _ in range(9):
             v = phi_shift(v, part, t)
         assert v == c
+
+    @pytest.mark.parametrize("length", [8, 10])
+    def test_length_mismatch(self, tower9, length):
+        part = Partition.equal(3, 3)
+        with pytest.raises(LengthMismatch):
+            rho_shift((1,) * length, part)
+        with pytest.raises(LengthMismatch):
+            phi_shift((1,) * length, part, tower9)
 
 
 class TestGeneratedCodes:

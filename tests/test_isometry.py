@@ -4,18 +4,23 @@ import random
 
 import pytest
 
-from sumrank import LinearCode, Partition, min_distance_bruteforce, phi_shift, rho_shift, sumrank_weight
-from sumrank.errors import ShapeMismatch, ZeroCode
+from sumrank import (
+    LinearCode,
+    Partition,
+    build_tower,
+    min_distance_bruteforce,
+    phi_shift,
+    rho_shift,
+    sumrank_weight,
+)
+from sumrank.errors import ShapeMismatch, UnequalParts, ZeroCode
 from sumrank.isometry import (
-    HammingIsometry,
-    RankIsometry,
     SumRankIsometry,
-    act_hamming,
-    act_rank,
     act_sumrank,
     apply_to_code,
     cycle_matrix,
     general_linear_group,
+    hamming_isometry,
     identity_matrix,
     iota_H,
     iota_R,
@@ -23,8 +28,17 @@ from sumrank.isometry import (
     lambda_signature,
     min_dist_via_block_diagonal,
     phi_element,
+    rank_isometry,
     rho_element,
 )
+
+
+def act_hamming(g, c, tower):
+    return act_sumrank(g, c, Partition.hamming(len(c)), tower)
+
+
+def act_rank(g, c, tower):
+    return act_sumrank(g, c, Partition.rank(len(c)), tower)
 
 
 def _random_isometry(t, part, rng):
@@ -83,8 +97,9 @@ class TestAction:
 
 
 class TestHammingAndRankActions:
-    """The two extreme partitions of the sum-rank action, against their
-    elementwise formulas and on the isometries they must refuse."""
+    """Hamming and rank isometries act through the sum-rank action on the two
+    extreme partitions: checked against their elementwise formulas and on the
+    isometries they must refuse."""
 
     def test_hamming_action_elementwise(self, tower9):
         t = tower9
@@ -94,7 +109,7 @@ class TestHammingAndRankActions:
             perm = list(range(ell))
             rng.shuffle(perm)
             scalars = tuple(rng.randrange(1, 8) for _ in range(ell))
-            g = HammingIsometry(scalars, tuple(perm), rng.randrange(3))
+            g = hamming_isometry(scalars, perm, rng.randrange(3))
             c = tuple(rng.randrange(8) for _ in range(ell))
             src = {image: i for i, image in enumerate(perm)}  # src[i] = perm^-1(i)
             expect = tuple(
@@ -116,12 +131,12 @@ class TestHammingAndRankActions:
                 for j in range(3):
                     acc = t.F.add(acc, t.F.mul(twisted[j], t.lift(M[j][col], "E", "F")))
                 expect.append(acc)
-            assert act_rank(RankIsometry(M, theta_pow), c, t) == tuple(expect)
+            assert act_rank(rank_isometry(M, theta_pow), c, t) == tuple(expect)
 
     @pytest.mark.parametrize("g, c", [
-        (HammingIsometry((1, 0, 1), (0, 1, 2)), (1, 2, 3)),  # zero scalar
-        (HammingIsometry((1, 1, 1), (0, 0, 1)), (1, 2, 3)),  # not a permutation
-        (HammingIsometry((1, 1, 1), (0, 1, 2)), (1, 2)),  # length mismatch
+        (hamming_isometry((1, 0, 1), (0, 1, 2)), (1, 2, 3)),  # zero scalar
+        (hamming_isometry((1, 1, 1), (0, 0, 1)), (1, 2, 3)),  # not a permutation
+        (hamming_isometry((1, 1, 1), (0, 1, 2)), (1, 2)),  # length mismatch
     ], ids=["zero-scalar", "perm-001", "length"])
     def test_hamming_refusals(self, tower9, g, c):
         with pytest.raises(ShapeMismatch):
@@ -135,7 +150,7 @@ class TestHammingAndRankActions:
     ], ids=["singular", "long", "short", "non-square"])
     def test_rank_refusals(self, tower4, M, c):
         with pytest.raises(ShapeMismatch):
-            act_rank(RankIsometry(M), c, tower4)
+            act_rank(rank_isometry(M), c, tower4)
 
 
 class TestRealizers:
@@ -161,7 +176,7 @@ class TestRealizers:
         t = tower9
         part = Partition.equal(3, 3)
         rng = random.Random(59)
-        gH = HammingIsometry((3, 1, 5), (1, 2, 0))
+        gH = hamming_isometry((3, 1, 5), (1, 2, 0))
         gS = iota_H(gH, part)
         c = tuple(rng.randrange(8) for _ in range(9))
         out = act_sumrank(gS, c, part, t)
@@ -175,11 +190,58 @@ class TestRealizers:
             assert out[i * 3 : (i + 1) * 3] == expect
 
         M = cycle_matrix(3)
-        gR = RankIsometry(M, 0)
+        gR = rank_isometry(M, 0)
         gS = iota_R(gR, part)
         out = act_sumrank(gS, c, part, t)
         for i in range(3):
             assert out[i * 3 : (i + 1) * 3] == act_rank(gR, blocks[i], t)
+
+    def test_realizers_are_the_embedded_shifts(self, tower9):
+        # rho = iota_H(cyclic shift of the blocks), phi = iota_R(cycle
+        # matrix, theta), written out as sum-rank isometries
+        t = tower9
+        part = Partition.equal(3, 3)
+        ones, I, P = (1, 1, 1), identity_matrix(3), cycle_matrix(3)
+        assert rho_element(part) == SumRankIsometry(ones, (I, I, I), (1, 2, 0), 0)
+        theta_pow = t.e_deg * t.h
+        assert phi_element(part, t) == SumRankIsometry(ones, (P, P, P), (0, 1, 2), theta_pow)
+
+    def test_embeddings_act_positionwise_and_blockwise(self):
+        # iota_H(g) acts as g on the vector of every block's j-th entry, and
+        # iota_R(g) as g on every block; E = F4, so 1 x 1 matrices need not be 1
+        t = build_tower(2, 2, 2, 1, 3, 2)
+        part = Partition.equal(3, 2)
+        gl = general_linear_group(2, t.E)
+        rng = random.Random(64)
+        for _ in range(50):
+            perm = [0, 1, 2]
+            rng.shuffle(perm)
+            gH = SumRankIsometry(
+                tuple(rng.randrange(1, 16) for _ in range(3)),
+                tuple(((rng.randrange(1, 4),),) for _ in range(3)),
+                tuple(perm), rng.randrange(4),
+            )
+            gR = SumRankIsometry(
+                (rng.randrange(1, 16),), (rng.choice(gl),), (0,), rng.randrange(4)
+            )
+            c = tuple(rng.randrange(16) for _ in range(6))
+            out = act_sumrank(iota_H(gH, part), c, part, t)
+            for j in range(2):
+                assert out[j::2] == act_hamming(gH, c[j::2], t)
+            out = act_sumrank(iota_R(gR, part), c, part, t)
+            for i in range(3):
+                assert out[2 * i : 2 * i + 2] == act_rank(gR, c[2 * i : 2 * i + 2], t)
+
+    @pytest.mark.parametrize("embed, g", [
+        ("H", hamming_isometry((1, 1), (0, 1))),  # two positions for three blocks
+        ("H", rank_isometry(identity_matrix(3))),  # a 3 x 3 matrix
+        ("R", rank_isometry(identity_matrix(2))),  # blocks have size 3
+        ("R", hamming_isometry((1, 1, 1), (0, 1, 2))),  # three matrices
+    ], ids=["H-length", "H-rank", "R-size", "R-hamming"])
+    def test_embedding_refusals(self, embed, g):
+        iota = iota_H if embed == "H" else iota_R
+        with pytest.raises(UnequalParts):
+            iota(g, Partition.equal(3, 3))
 
     def test_lambda_signature(self):
         assert lambda_signature(Partition((3, 3, 3))) == (3,)

@@ -20,6 +20,7 @@ from sumrank.errors import (
     DivisionByZero,
     FieldMismatch,
     GeneratorNotOverE,
+    LengthMismatch,
     LevelMismatch,
     NotADivisor,
     PreconditionViolated,
@@ -240,6 +241,12 @@ class TestTensorVector:
         v = (3, 5, 1)
         assert tensor_vector(t, (1, 0, 0), v) == v + (0,) * 6
 
+    @pytest.mark.parametrize("u, v", [((), (1, 2)), ((1, 2), ()), ((), ())],
+                             ids=["u", "v", "both"])
+    def test_empty_factor(self, tower9, u, v):
+        with pytest.raises(LengthMismatch):
+            tensor_vector(tower9, u, v)
+
 
 class TestTensorCode:
     def test_dimension_product(self, tower9):
@@ -288,6 +295,15 @@ class TestGeneratorPolynomial:
     def test_not_a_divisor(self, tower9):
         with pytest.raises(NotADivisor):
             product_generator_poly(tower9, (1, 0, 1), SkewPoly(tower9, "F", (1, 1)))
+
+    def test_L_level_factor_refused(self, tower9):
+        # as skew_code_from_poly does; the divisor test once met it first and
+        # raised TowerMismatch
+        f2 = SkewPoly(tower9, "L", (1, 1))
+        with pytest.raises(LevelMismatch):
+            product_generator_poly(tower9, (1, 1), f2)
+        with pytest.raises(LevelMismatch):
+            product_code_from_polys(tower9, (1, 1), f2)
 
     def test_zero_factor_is_not_a_divisor(self, tower9):
         # the zero polynomial divides only zero, so f1 = 0 or f2 = 0 fails the

@@ -10,10 +10,13 @@ from sumrank.bounds import grid_points
 from sumrank.errors import (
     BlockLengthNotMultiple,
     DegreesNotCoprime,
+    FieldTooLarge,
+    InvalidParameter,
     NotPrime,
     RootsOfUnityAbsent,
 )
 from sumrank.gf import _digits, _undigits, field, find_embedding, is_prime
+from sumrank.tower import FieldTower
 
 
 class TestGF:
@@ -90,6 +93,28 @@ class TestTowerConstruction:
     def test_block_length_not_multiple(self):
         with pytest.raises(BlockLengthNotMultiple):
             build_tower(2, 1, 3, 2, 3, 4)
+
+    @pytest.mark.parametrize("args, error", [
+        ((4, 1, 3, 2, 3, 3), NotPrime),
+        ((2, 1, 2, 2, 3, 2), DegreesNotCoprime),
+        ((2, 1, 3, 2, 5, 3), RootsOfUnityAbsent),
+        ((2, 1, 3, 2, 3, 4), BlockLengthNotMultiple),
+        ((2, 1, 0, 1, 1, 1), InvalidParameter),
+        ((2, 1, 3, 7, 1, 3), FieldTooLarge),
+    ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+    def test_constructor_validates(self, args, error):
+        # no tower object skips the checks, however it is built
+        with pytest.raises(error):
+            FieldTower(*args)
+
+    @pytest.mark.parametrize("args", [
+        (2, 1, 3, 2, 2, 3), (2, 1, 3, 2, 6, 3), (3, 1, 2, 1, 3, 2), (3, 2, 2, 1, 6, 2),
+        (5, 1, 2, 1, 5, 2), (7, 1, 2, 1, 14, 2),
+    ], ids=str)
+    def test_characteristic_dividing_ell_is_refused(self, args):
+        # ell | |K| - 1 = p^(e*h) - 1, which p does not divide: no tower has p | ell
+        with pytest.raises(RootsOfUnityAbsent):
+            build_tower(*args)
 
 
 class TestGaloisStructure:
