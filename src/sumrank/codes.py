@@ -20,6 +20,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 # biv_mul stays importable here: benchmark/tracer.py rebinds codes.biv_mul
@@ -46,8 +47,8 @@ class Partition:
         if not self.parts or any(p <= 0 for p in self.parts):
             raise LengthMismatch("partition parts must be positive")
 
-    @property
-    def n(self) -> int:
+    @cached_property
+    def n(self) -> int:  # summed once: every `sumrank_weight` call reads it
         return sum(self.parts)
 
     def equal_part(self) -> int:
@@ -140,17 +141,21 @@ class LinearCode:
     def codewords(self):
         """Iterate over all codewords, the first row's coefficient varying
         fastest through F's encodings (budget is the caller's concern)."""
-        gf = self.field
+        gf, add = self.field, self.field.add
         multiples = [[tuple(gf.mul(c, x) for x in row) for c in range(gf.order)] for row in self.G]
+        zero = (0,) * self.n
+        if not multiples:
+            return iter([zero])
 
         def walk(i, acc):
-            if i < 0:
-                yield acc
-                return
             for m in multiples[i]:
-                yield from walk(i - 1, tuple(map(gf.add, acc, m)))
+                word = tuple(map(add, acc, m))
+                if i:
+                    yield from walk(i - 1, word)
+                else:
+                    yield word
 
-        return walk(self.k - 1, (0,) * self.n)
+        return walk(self.k - 1, zero)
 
     def code_id(self) -> str:
         payload = json.dumps(

@@ -10,6 +10,7 @@ at 2^16.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from math import gcd
 
@@ -115,6 +116,8 @@ class GF:
         self.deg = deg
         self.order = p**deg
         self._build_tables()
+        if p == 2:
+            self.add = self.sub = operator.xor
 
     def _build_tables(self):
         """Find the modulus by the order test, then fill exp/log in one walk.
@@ -158,9 +161,9 @@ class GF:
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        """a ^ b for p = 2; otherwise a * (1 + b/a) by Zech logarithms."""
-        if self.p == 2:
-            return a ^ b
+        """a * (1 + b/a) by Zech logarithms.  For p = 2 the constructor binds
+        `add` and `sub` of the instance to `operator.xor`, which is the sum on
+        base-2 digits, so those calls skip this method."""
         if a == 0:
             return b
         if b == 0:
@@ -178,8 +181,6 @@ class GF:
         return self.exp[(self.log[a] + n // 2) % n]
 
     def sub(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:

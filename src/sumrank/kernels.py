@@ -3,11 +3,16 @@
 Scaling a codeword by an element of F* keeps every block rank, so one
 message per F*-line suffices: leading digit 1 at some position i, then every
 tail.  Codewords are built in chunks of at most CHUNK by `addF` gathers of a
-prefix row over the precomputed span of the last rows.  A block's rank over
-the subfield E is the rank over F of its Moore matrix, the rows
-(v, v^q, ..., v^(q^(m-1))) with q = |E|, and comes from one vectorized
+prefix row over the span of the last rows.  That span is built once per
+code: the tail of every leading row ends in the same last rows, and the
+combinations of the last j of them are the span's first |F|^j entries.  A
+block's rank over the subfield E is the rank over F of its Moore matrix, the
+rows (v, v^q, ..., v^(q^(m-1))) with q = |E|, and comes from one vectorized
 Gaussian elimination over F; for blocks with at most TABLE_CAP possible
-values it is run once on every value and memoized as a lookup table.
+values it is run once on every value and memoized as a lookup table.  A
+block with fewer possible values than the chunk has rows is ranked once per
+value (prefix + v for every v), and each codeword reads its rank at the key
+of its span row, computed once per code.
 
 numpy is imported inside the functions that build or run the tables, so
 importing the package (and every CLI call that does not enumerate) does not
@@ -15,6 +20,8 @@ pay for it.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 from .errors import FieldTooLarge
 
@@ -63,7 +70,8 @@ class FieldTables:
         self.moore = np.array(
             [[F.frob(v, tower.e_deg * j) for j in range(tower.m)] for v in range(F.order)], i16
         )
-        self.rank_tables = {}  # block size b -> ranks of all |F|^b blocks
+        self.rank_tables = {}  # block size b -> ranks of all |F|^b blocks, by key
+        self._values = {}  # block size b -> every block of that size, by key
 
     def ranks(self, blocks):
         """Subfield ranks of (M, b) blocks of F entries, as an (M,) array:
@@ -88,25 +96,49 @@ class FieldTables:
 
     def block_ranks(self, blocks):
         """Ranks of (M, b) blocks, by table lookup when |F|^b <= TABLE_CAP."""
+        b = blocks.shape[1]
+        if len(self.addF) ** b > TABLE_CAP:
+            return self.ranks(blocks)
+        if b not in self.rank_tables:
+            self.rank_tables[b] = self.ranks(self.values(b))
+        return self.rank_tables[b][self.keys(blocks)]
+
+    def value_ranks(self, block):
+        """Ranks of block + v for every block v of its size, in key order."""
+        return self.block_ranks(self.addF[block, self.values(len(block))])
+
+    def values(self, b):
+        """Every block of size b, as an (|F|^b, b) array in key order."""
         import numpy as np
 
-        q, b = len(self.addF), blocks.shape[1]
-        if q**b > TABLE_CAP:
-            return self.ranks(blocks)
-        powers = q ** np.arange(b)
-        if b not in self.rank_tables:
-            every = np.arange(q**b)[:, None] // powers % q
-            self.rank_tables[b] = self.ranks(every)
-        return self.rank_tables[b][blocks @ powers]
+        if b not in self._values:
+            q = len(self.addF)
+            self._values[b] = np.arange(q**b)[:, None] // q ** np.arange(b) % q
+        return self._values[b]
+
+    def keys(self, blocks):
+        """Keys of (M, b) blocks: the integers whose base-|F| digits, lowest
+        first, are the block's entries."""
+        import numpy as np
+
+        key = blocks[:, -1].astype(np.int64)
+        for j in range(blocks.shape[1] - 2, -1, -1):
+            key *= len(self.addF)
+            key += blocks[:, j]
+        return key
 
 
 def _span(rows, tables):
-    """All F-linear combinations of `rows`, as a (|F|^len(rows), n) array."""
+    """All F-linear combinations of `rows`, as a (|F|^len(rows), n) array.
+
+    The last row's coefficient varies fastest, so the combinations of the
+    last j rows are the first |F|^j entries.
+    """
     import numpy as np
 
     S = np.zeros((1, rows.shape[1]), tables.addF.dtype)
     for row in rows:
-        S = tables.addF[S[None], tables.mulF[:, row][:, None]].reshape(-1, rows.shape[1])
+        S = tables.addF[S[:, None], tables.mulF[:, row][None]].reshape(-1, rows.shape[1])
     return S
 
 
@@ -129,18 +161,28 @@ def min_weight(G, tables: FieldTables, parts):
     G = np.asarray(G, np.int64)
     k = len(G)
     q = len(tables.addF)
-    last = 0  # rows in the chunk span: the largest r with q^r <= CHUNK
-    while q ** (last + 1) <= CHUNK:
+    last = 0  # rows in the span: the largest r <= k - 1 with q^r <= CHUNK
+    while last < k - 1 and q ** (last + 1) <= CHUNK:
         last += 1
-    bounds = np.cumsum((0,) + tuple(parts))
-    best = int(bounds[-1]) + 1  # above every weight
+    # every leading row's tail ends in these rows, so one span serves them all
+    span = _span(G[k - last :], tables)
+    bounds = list(accumulate(parts, initial=0))
+    blocks = list(zip(bounds, bounds[1:]))
+    # a block with fewer values than a chunk has rows is ranked once per value:
+    # the ranks of prefix + v for every v, read at each span row's key
+    keys = {a: tables.keys(span[:, a:b]) for a, b in blocks if q ** (b - a) < len(span)}
+    best = bounds[-1] + 1  # above every weight
     for i in range(k):
         tail = G[i + 1 :]
         cut = max(len(tail) - last, 0)
-        span = _span(tail[cut:], tables)
+        rows = q ** (len(tail) - cut)
         for prefix in _prefixes(G[i], tail[:cut], tables):
-            cw = tables.addF[prefix, span]
-            w = sum(tables.block_ranks(cw[:, a:b]) for a, b in zip(bounds, bounds[1:]))
+            w = sum(
+                tables.value_ranks(prefix[a:b])[keys[a][:rows]]
+                if q ** (b - a) < rows
+                else tables.block_ranks(tables.addF[prefix[a:b], span[:rows, a:b]])
+                for a, b in blocks
+            )
             best = min(best, int(w.min()))
             if best <= 1:
                 return best

@@ -50,6 +50,8 @@ class FieldTower:
         self.ell = ell
         self.N = N
         self.n = ell * N
+        self._key = (p, e_deg, m, h, ell, N)
+        self._hash = hash(self._key)  # dictionary keys in every distance query
         self.E = field(p, e_deg)
         self.F = field(p, e_deg * m)
         self.K = field(p, e_deg * h)
@@ -114,13 +116,10 @@ class FieldTower:
         }
 
     def __eq__(self, other):
-        return isinstance(other, FieldTower) and (
-            (self.p, self.e_deg, self.m, self.h, self.ell, self.N)
-            == (other.p, other.e_deg, other.m, other.h, other.ell, other.N)
-        )
+        return isinstance(other, FieldTower) and self._key == other._key
 
     def __hash__(self):
-        return hash((self.p, self.e_deg, self.m, self.h, self.ell, self.N))
+        return self._hash
 
     def __repr__(self):
         return (

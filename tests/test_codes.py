@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,6 +205,22 @@ class TestLinearCode:
         C = LinearCode(t, rows, Partition.equal(t.ell, t.N))
         assert list(C.codewords()) == list(reference_codewords(C))
 
+    def test_codewords_are_lazy(self, tower9):
+        # the first codeword of a k = 6 code costs O(k n) memory; a walk that
+        # materializes the 8^5 partial sums of the slower rows needs about 4 MB
+        rng = random.Random(6)
+        rows = [[rng.randrange(8) for _ in range(9)] for _ in range(6)]
+        C = LinearCode(tower9, rows, Partition.equal(3, 3))
+        assert C.k == 6
+        tracemalloc.start()
+        try:
+            first = next(C.codewords())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == (0,) * 9
+        assert peak < 256 * 1024
+
     def test_full_space_distance_one(self, tower9, monkeypatch):
         monkeypatch.setenv("SUMRANK_BUDGET", str(1 << 28))
         C = LinearCode.full_space(tower9, Partition.equal(3, 3))
@@ -379,6 +396,52 @@ class TestKernelAgreement:
         assert min_weight(C.G, FieldTables(tower9), C.partition.parts) == d
         monkeypatch.setattr(kernels, "TABLE_CAP", 0)
         assert min_weight(C.G, FieldTables(tower9), C.partition.parts) == d
+
+    @pytest.mark.parametrize("spec,k,parts,ranked_per_value", [
+        ((5, 1, 2, 1, 4, 2), 3, (1,) * 8, {1}),  # 25 values per block, 625 span rows
+        ((2, 2, 2, 1, 3, 2), 4, (2, 2, 2), {2}),  # E = F4: 256 values, 4096 span rows
+        ((5, 1, 2, 1, 4, 2), 3, (1, 2, 5), {1}),
+        ((2, 2, 2, 1, 3, 2), 4, (1, 2, 3), {1, 2}),
+    ], ids=str)
+    def test_per_value_ranks_off_characteristic_2(self, spec, k, parts, ranked_per_value,
+                                                  monkeypatch):
+        # blocks with fewer values than the span has rows are ranked once per
+        # value; chunks of |F| codewords leave every block to the per-row path
+        t = build_tower(*spec)
+        rng = random.Random(str(spec))
+        rows = [[rng.randrange(t.F.order) for _ in range(t.n)] for _ in range(k)]
+        C = LinearCode(t, rows, Partition(parts))
+        d = _scan(C, C.partition)
+        assert C.k == k and d > 1
+        tables = FieldTables(t)
+        per_value = []
+        monkeypatch.setattr(tables, "value_ranks", lambda block: (
+            per_value.append(len(block)) or FieldTables.value_ranks(tables, block)
+        ))
+        assert min_weight(C.G, tables, parts) == d
+        assert set(per_value) == ranked_per_value
+        monkeypatch.setattr(kernels, "CHUNK", t.F.order)
+        per_value.clear()
+        assert min_weight(C.G, tables, parts) == d
+        assert not per_value
+
+    def test_one_span_per_call(self, tower9, monkeypatch):
+        # the span of the last rows serves every leading row; a kernel that
+        # builds a span per leading row is the slow path this guards against
+        built = []
+
+        def counted(rows, tables):
+            built.append(len(rows))
+            return span(rows, tables)
+
+        span = kernels._span
+        monkeypatch.setattr(kernels, "_span", counted)
+        rng = random.Random(5)
+        rows = [[rng.randrange(8) for _ in range(9)] for _ in range(5)]
+        C = LinearCode(tower9, rows, Partition.equal(3, 3))
+        assert C.k == 5
+        assert min_weight(C.G, FieldTables(tower9), C.partition.parts) > 1
+        assert built == [4]
 
     @pytest.mark.parametrize(
         "spec",

@@ -77,6 +77,12 @@ class TestTowerConstruction:
         assert (t.E.order, t.F.order, t.K.order, t.L.order) == (2, 8, 4, 64)
         assert t.n == 9 and t.ell == 3 and t.m == 3 and t.N == 3
 
+    def test_equality_and_hash_by_parameters(self, tower9):
+        twin = FieldTower(2, 1, 3, 2, 3, 3)
+        assert twin is not tower9 and twin == tower9
+        assert hash(twin) == hash(tower9) == hash((2, 1, 3, 2, 3, 3))
+        assert tower9 != build_tower(2, 1, 3, 2, 1, 3) and tower9 != (2, 1, 3, 2, 3, 3)
+
     def test_not_prime(self):
         with pytest.raises(NotPrime):
             build_tower(4, 1, 3, 2, 3, 3)
@@ -218,8 +224,6 @@ class ScanGF:
 
 def digit_add(gf, a: int, b: int) -> int:
     """The former `GF.add`: digit-wise sums mod p."""
-    if gf.p == 2:
-        return a ^ b
     da = _digits(a, gf.p, gf.deg)
     db = _digits(b, gf.p, gf.deg)
     return _undigits([(x + y) % gf.p for x, y in zip(da, db)], gf.p)
@@ -227,8 +231,6 @@ def digit_add(gf, a: int, b: int) -> int:
 
 def digit_neg(gf, a: int) -> int:
     """The former `GF.neg`: digit-wise negation mod p."""
-    if gf.p == 2:
-        return a
     da = _digits(a, gf.p, gf.deg)
     return _undigits([(-x) % gf.p for x in da], gf.p)
 
@@ -323,7 +325,10 @@ class TestTowerMatchesOracles:
             assert t.lift(t.lift(v, "E", "K"), "K", "L") == t.lift(v, "E", "L")
 
 
-@pytest.mark.parametrize("p,deg", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2), (11, 2)])
+@pytest.mark.parametrize("p,deg", [
+    (3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2), (11, 2),
+    (2, 1), (2, 3), (2, 4), (2, 6),  # add and sub bound to XOR
+])
 def test_zech_arithmetic_matches_digits_on_all_pairs(p, deg):
     gf = field(p, deg)
     for a in range(gf.order):
