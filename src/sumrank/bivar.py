@@ -161,20 +161,22 @@ def ev_az(f: BivarPoly, a: int) -> SkewPoly:
     """Substitute x := a (the L-encoding of an ell-th root of unity in K) in
     every coefficient."""
     t = f.tower
-    g = f.lift_to_L()
-    gf = t.L
     _root_of_unity(t, a)
+    return substitute_x(f.lift_to_L(), [t.L.pow(a, i) for i in range(t.ell)])
+
+
+def substitute_x(g: BivarPoly, powers) -> SkewPoly:
+    """The z-coefficients sum_i g_ij * powers[i] of an L-level g: x := a
+    given a's powers a^0, ..., a^(ell-1)."""
+    gf = g.tower.L
     out = []
-    for j in range(t.N):
+    for column in zip(*g.coeffs):
         acc = 0
-        apow = 1
-        for i in range(t.ell):
-            c = g.coeffs[i][j]
+        for c, apow in zip(column, powers):
             if c:
                 acc = gf.add(acc, gf.mul(c, apow))
-            apow = gf.mul(apow, a)
         out.append(acc)
-    return SkewPoly(t, "L", tuple(out))
+    return SkewPoly(g.tower, "L", tuple(out))
 
 
 def ev_total(f: BivarPoly, a: int, beta: int) -> int:

@@ -6,7 +6,9 @@ primitive ell-th root a and one fixed normal element beta, computed once per
 tower.  Exponents are reduced mod ell in the first component and mod m in the
 second; membership of a pair means the code's generator evaluates to zero
 there.  A defining set is one ell x m table of booleans, filled with ell
-substitutions x := a^i and ell * m right evaluations.  Until ROADMAP item 1's
+substitutions x := a^i and ell * m right evaluations; the powers of a and
+the norm chains of the column points are computed once per tower, like a
+and beta, so each entry is one dot product per poly.  Until ROADMAP item 1's
 coset rule lands, the checkers refuse repeated pairs and the search tracks
 pair residues mod lcm(ell, m), since a progression can revisit a pair when
 gcd(ell, m) > 1.
@@ -21,7 +23,7 @@ from math import gcd
 
 from . import linalg
 # ev_total stays importable here: benchmark/tracer.py rebinds bounds.ev_total
-from .bivar import BivarPoly, ev_az, ev_total  # noqa: F401
+from .bivar import BivarPoly, ev_total, substitute_x  # noqa: F401
 from .errors import (
     GridNotContained,
     InvalidParameter,
@@ -32,7 +34,7 @@ from .errors import (
     SelectionTooSmall,
     ZeroCode,
 )
-from .skew import right_evaluate
+from .skew import norm_chain, right_evaluate
 from .tower import FieldTower, find_normal_element, is_normal, primitive_ell_root
 
 
@@ -42,18 +44,30 @@ def grid_points(t: FieldTower) -> tuple[int, int]:
     return primitive_ell_root(t), find_normal_element(t)
 
 
+@lru_cache(maxsize=None)
+def grid_chains(t: FieldTower):
+    """The tower-only parts of the table: row i's powers a^(i*x), x below
+    ell, and the column points sigma^j(sigma(beta)/beta), each with its
+    `norm_chain` of length N."""
+    a, beta = grid_points(t)
+    L = t.L
+    powers = tuple(tuple(L.pow(a, i * x) for x in range(t.ell)) for i in range(t.ell))
+    point = L.div(t.sigma(beta), beta)
+    points = [t.sigma(point, j) for j in range(t.m)]
+    return powers, tuple((pt, norm_chain(t, "L", pt, t.N)) for pt in points)
+
+
 def common_zeros(t: FieldTower, polys) -> list[list[bool]]:
     """The ell x m table of the grid pairs at which every poly vanishes: row i
     substitutes x := a^i, column j right-evaluates at sigma^j(sigma(beta)/beta)."""
-    a, beta = grid_points(t)
-    L = t.L
+    powers, columns = grid_chains(t)
     lifted = [f.lift_to_L() for f in polys]
-    point = L.div(t.sigma(beta), beta)
-    points = [t.sigma(point, j) for j in range(t.m)]
     table = []
-    for i in range(t.ell):
-        rows = [ev_az(f, L.pow(a, i)) for f in lifted]
-        table.append([all(right_evaluate(fz, pt) == 0 for fz in rows) for pt in points])
+    for row_powers in powers:
+        rows = [substitute_x(f, row_powers) for f in lifted]
+        table.append([
+            all(right_evaluate(fz, pt, chain) == 0 for fz in rows) for pt, chain in columns
+        ])
     return table
 
 

@@ -158,6 +158,10 @@ class LinearCode:
         return walk(self.k - 1, zero)
 
     def code_id(self) -> str:
+        return self._code_id
+
+    @cached_property
+    def _code_id(self) -> str:  # hashed once per code: G is an immutable tuple
         payload = json.dumps(
             {"G": [list(r) for r in self.G], "parts": list(self.partition.parts)},
             sort_keys=True,

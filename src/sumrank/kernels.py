@@ -132,13 +132,21 @@ def _span(rows, tables):
     """All F-linear combinations of `rows`, as a (|F|^len(rows), n) array.
 
     The last row's coefficient varies fastest, so the combinations of the
-    last j rows are the first |F|^j entries.
+    last j rows are the first |F|^j entries.  Each step gathers from the
+    flat addition table at index s * |F| + c * row, computed in the tables'
+    int16 while |F|^2 fits it and in int32 past that: an intp index array
+    is four times the size, and its allocation costs more than the gather
+    saves.
     """
     import numpy as np
 
-    S = np.zeros((1, rows.shape[1]), tables.addF.dtype)
+    q, n = len(tables.addF), rows.shape[1]
+    add = tables.addF.ravel()
+    index = np.int16 if q * q <= 1 << 15 else np.int32
+    S = np.zeros((1, n), add.dtype)
     for row in rows:
-        S = tables.addF[S[:, None], tables.mulF[:, row][None]].reshape(-1, rows.shape[1])
+        S = add.take(S.astype(index, copy=False)[:, None] * q + tables.mulF[:, row][None])
+        S = S.reshape(-1, n)
     return S
 
 

@@ -74,40 +74,59 @@ def tensor_code(C1: LinearCode, C2: LinearCode, f1=None, f2=None) -> ProductCode
     return ProductCode(C1, C2, code, f1, f2)
 
 
-def _f1_vector(t: FieldTower, f1):
-    """f1 mod x^ell - 1 as a length-ell vector, once f1 | x^ell - 1."""
-    f1 = trim(f1)
-    if not divides(f1, xl_minus_one(t.ell, t.F), t.F):
-        raise NotADivisor("f1 must divide x^ell - 1")
-    return wrap(f1, t.ell, t.F)
+# What product codes read of a factor, computed once per tower:
+# (tower, "x" or "z", trimmed coefficients) -> [the factor mod y^L - 1 as a
+# vector, its shift-orbit code or None until asked for].  A factor enters
+# only once it has passed its divisor test, so errors are raised every call.
+_factor_cache = {}
 
 
-def _f2_vector(t: FieldTower, f2: SkewPoly):
-    """f2 mod z^N - 1 as a length-N vector, once f2 is over F and right-divides it."""
+def _f1_factor(t: FieldTower, f1):
+    """f1's entry, once f1 | x^ell - 1."""
+    key = (t, "x", trim(f1))
+    if key not in _factor_cache:
+        if not divides(key[2], xl_minus_one(t.ell, t.F), t.F):
+            raise NotADivisor("f1 must divide x^ell - 1")
+        _factor_cache[key] = [wrap(key[2], t.ell, t.F), None]
+    return _factor_cache[key]
+
+
+def _f2_factor(t: FieldTower, f2: SkewPoly):
+    """f2's entry, once f2 is over F and right-divides z^N - 1."""
     if f2.level != "F":
         raise LevelMismatch("a code's generator has coefficients in F")
-    if not right_divides(f2, SkewPoly.z_pow_minus_one(t, t.N)):
-        raise NotADivisor("f2 must be a right divisor of z^N - 1")
-    return wrap(f2.coeffs, t.N, t.F)
+    key = (t, "z", f2.coeffs)
+    # an f2 of another tower is not looked up: right_divides refuses it
+    if f2.tower != t or key not in _factor_cache:
+        if not right_divides(f2, SkewPoly.z_pow_minus_one(t, t.N)):
+            raise NotADivisor("f2 must be a right divisor of z^N - 1")
+        _factor_cache[key] = [wrap(f2.coeffs, t.N, t.F), None]
+    return _factor_cache[key]
+
+
+def _orbit_code(t: FieldTower, entry, part: Partition) -> LinearCode:
+    if entry[1] is None:
+        entry[1] = shift_orbit_code(t, entry[0], part)
+    return entry[1]
 
 
 def cyclic_code_from_poly(t: FieldTower, f1) -> LinearCode:
     """The [ell, ell - deg f1] cyclic code generated by f1 | x^ell - 1: the
-    block-shift orbit of f1 on ell blocks of size 1."""
-    return shift_orbit_code(t, _f1_vector(t, f1), Partition.hamming(t.ell))
+    block-shift orbit of f1 on ell blocks of size 1, built once per tower."""
+    return _orbit_code(t, _f1_factor(t, f1), Partition.hamming(t.ell))
 
 
 def skew_code_from_poly(t: FieldTower, f2: SkewPoly) -> LinearCode:
     """The [N, N - deg f2] skew-cyclic code generated by f2 | z^N - 1: the
-    twisted-shift orbit of f2 on one block of size N."""
-    return shift_orbit_code(t, _f2_vector(t, f2), Partition.rank(t.N))
+    twisted-shift orbit of f2 on one block of size N, built once per tower."""
+    return _orbit_code(t, _f2_factor(t, f2), Partition.rank(t.N))
 
 
 def product_generator_poly(t: FieldTower, f1, f2: SkewPoly) -> BivarPoly:
     """g = f1(x) * f2(z) in the bivariate quotient ring: f1 stands on the
     left, so the coefficient of x^i z^j is f1_i * f2_j, with no twist; as a
     vector that is the tensor of the factors' vectors."""
-    return nu_map(tensor_vector(t, _f1_vector(t, f1), _f2_vector(t, f2)), t)
+    return nu_map(tensor_vector(t, _f1_factor(t, f1)[0], _f2_factor(t, f2)[0]), t)
 
 
 def product_defining_set(t: FieldTower, f1, f2: SkewPoly):

@@ -3,10 +3,10 @@
 Multiplication follows z^i z^j = z^{i+j} and z*a = twist(a)*z, where the
 twist is theta on F-level coefficients and sigma on L-level ones.  Right
 evaluation at `a` is the remainder of right division by (z - a); the fast
-path uses the product chain N_i(a) = twist^{i-1}(a)...twist(a)*a, with the
-division route kept as an independent oracle for tests.  Trimming, z^n - 1
-and printing reuse the helpers of `poly` (the twist plays no part in them),
-and subtraction adds the negated operand.
+path uses the product chain N_i(a) = twist^{i-1}(a)...twist(a)*a of
+`norm_chain`, with the division route kept as an independent oracle for
+tests.  Trimming, z^n - 1 and printing reuse the helpers of `poly` (the
+twist plays no part in them), and subtraction adds the negated operand.
 """
 
 from __future__ import annotations
@@ -153,15 +153,26 @@ def right_divides(g: SkewPoly, f: SkewPoly) -> bool:
     return right_divide(f, g)[1].is_zero()
 
 
-def right_evaluate(f: SkewPoly, a: int) -> int:
-    """f(a) as in f = q*(z - a) + f(a), via the norm product chain."""
+def norm_chain(tower: FieldTower, level: str, a: int, length: int) -> tuple:
+    """N_0(a), ..., N_{length-1}(a): N_0(a) = 1, N_{i+1}(a) = twist^i(a) * N_i(a)."""
+    gf = tower.gf(level)
+    chain = [1]
+    for i in range(length - 1):
+        chain.append(gf.mul(tower.twist(level, a, i), chain[-1]))
+    return tuple(chain)
+
+
+def right_evaluate(f: SkewPoly, a: int, chain=None) -> int:
+    """f(a) as in f = q*(z - a) + f(a): the coefficients against the norm
+    chain of a, built here unless a caller that evaluates at a often passes
+    its `norm_chain` (at least deg f + 1 long)."""
+    if chain is None:
+        chain = norm_chain(f.tower, f.level, a, len(f.coeffs))
     gf = f.field
     acc = 0
-    norm = 1  # N_0(a) = 1, N_{i+1}(a) = twist^i(a) * N_i(a)
-    for i, c in enumerate(f.coeffs):
+    for c, norm in zip(f.coeffs, chain):
         if c:
             acc = gf.add(acc, gf.mul(c, norm))
-        norm = gf.mul(f._twist(a, i), norm)
     return acc
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -661,7 +662,15 @@ class TestBenchmarkPass:
     worker: an op that fails shows here, not only in a benchmark run."""
 
     def test_certify_pass_has_no_failed_ops(self, tmp_path):
-        self.assert_no_failed_ops(tmp_path, "certify")
+        # the known defects at this seed are exactly ROADMAP item 1's eight
+        # product counterexamples, so one more unsound certificate fails here
+        ops = self.assert_no_failed_ops(tmp_path, "certify")
+        known = Counter((kind, detail) for kind, _, status, _, detail in ops
+                        if status == "known_defect")
+        assert known == {
+            ("product", "certified bound 5 > exact distance 4 on (5, 1, 2, 1, 4, 2)"): 4,
+            ("product", "certified bound 7 > exact distance 4 on (7, 1, 2, 1, 6, 2)"): 4,
+        }
 
     def test_sweep_pass_has_no_failed_ops(self, tmp_path):
         self.assert_no_failed_ops(tmp_path, "sweep")
@@ -680,3 +689,4 @@ class TestBenchmarkPass:
         failed = [(kind, status, detail) for kind, _, status, _, detail in ops
                   if status not in ("ok", "known_defect")]
         assert failed == []
+        return ops

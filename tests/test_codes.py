@@ -1,6 +1,8 @@
 """Linear codes, sum-rank weights, shifts, and the distance oracle."""
 
+import hashlib
 import itertools
+import json
 import random
 import tracemalloc
 
@@ -180,6 +182,21 @@ class TestLinearCode:
         assert C == C2
         assert C.contains(rows[0])
         assert not C.contains([1] + [0] * 8)
+
+    def test_code_id_hashes_the_canonical_payload_once(self, tower9, monkeypatch):
+        t = tower9
+        rows = [[1, 0, 0, 1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 1, 0, 0, 1, 0]]
+        C = LinearCode(t, rows, Partition.equal(3, 3))
+        C2 = LinearCode(t, [rows[1], [t.F.add(a, b) for a, b in zip(*rows)]], C.partition)
+        payload = json.dumps({"G": [list(r) for r in C.G], "parts": [3, 3, 3]}, sort_keys=True)
+        want = hashlib.sha256(payload.encode()).hexdigest()[:16]
+        assert C.code_id() == C2.code_id() == want
+        hashed = []
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda data: hashed.append(data) or sha256(data))
+        C3 = LinearCode(t, rows, C.partition)
+        assert C3.code_id() == C3.code_id() == want
+        assert len(hashed) == 1
 
     def test_codes_live_over_F(self, tower9):
         C = LinearCode(tower9, [[1] * 9], Partition.equal(3, 3))
@@ -442,6 +459,22 @@ class TestKernelAgreement:
         assert C.k == 5
         assert min_weight(C.G, FieldTables(tower9), C.partition.parts) > 1
         assert built == [4]
+
+    @pytest.mark.parametrize("spec", [(2, 1, 3, 2, 3, 3), (5, 1, 2, 1, 4, 2), (17, 1, 2, 1, 1, 2)],
+                             ids=["F8", "F25", "F289"])
+    def test_span_matches_broadcast_gather(self, spec):
+        # the flat gather against the two-index one it replaced; on F289 the
+        # flat index s * |F| + c wraps int16 and is computed in int32
+        t = build_tower(*spec)
+        T = FieldTables(t)
+        rng = random.Random(str(spec))
+        for k in range(1, 4 if t.F.order < 100 else 3):
+            rows = np.array([[rng.randrange(t.F.order) for _ in range(t.n)] for _ in range(k)])
+            want = np.zeros((1, t.n), T.addF.dtype)
+            for row in rows:
+                want = T.addF[want[:, None], T.mulF[:, row][None]].reshape(-1, t.n)
+            got = kernels._span(rows, T)
+            assert got.dtype == T.addF.dtype and got.tolist() == want.tolist()
 
     @pytest.mark.parametrize(
         "spec",

@@ -13,6 +13,7 @@ from sumrank import (
     min_distance_bruteforce,
     sumrank_weight,
 )
+from sumrank import product
 from sumrank.bivar import BivarPoly, biv_mul
 from sumrank.bounds import BoundParams, DefiningSetView
 from sumrank.codes import block_rank, hamming_weight
@@ -209,6 +210,67 @@ class TestFactorCodes:
             x_part = BivarPoly.from_x_poly(t, "F", f1)
             z_part = BivarPoly.from_z_poly(t, "F", f2.coeffs)
             assert product_generator_poly(t, f1, f2) == biv_mul(x_part, z_part)
+
+
+class TestFactorMemo:
+    """Each factor's divisor test, vector and orbit code are computed once
+    per tower, and errors are raised on every call."""
+
+    N9, N15 = (2, 1, 3, 2, 3, 3), (2, 1, 3, 4, 5, 3)
+
+    def test_keyed_by_tower(self, monkeypatch):
+        monkeypatch.setattr(product, "_factor_cache", {})
+        t9, t15 = build_tower(*self.N9), build_tower(*self.N15)
+        for t in (t9, t15, t9):
+            assert cyclic_code_from_poly(t, (1, 1)).G == reference_cyclic_code(t, (1, 1)).G
+            f2 = SkewPoly(t, "F", (2, 1))  # a divisor of z^3 - 1 on both towers
+            assert skew_code_from_poly(t, f2).G == reference_skew_code(t, f2).G
+        assert skew_code_from_poly(t9, SkewPoly(t9, "F", (2, 1))).G == ((1, 0, 4), (0, 1, 3))
+        assert skew_code_from_poly(t15, SkewPoly(t15, "F", (2, 1))).G == ((1, 0, 6), (0, 1, 7))
+        # z^2 + 6z + 7 right-divides z^3 - 1 on the n = 9 tower only
+        skew_code_from_poly(t9, SkewPoly(t9, "F", (7, 6, 1)))
+        with pytest.raises(NotADivisor):
+            skew_code_from_poly(t15, SkewPoly(t15, "F", (7, 6, 1)))
+
+    def test_errors_are_not_stored(self, tower9, monkeypatch):
+        monkeypatch.setattr(product, "_factor_cache", {})
+        t = tower9
+        product_code_from_polys(t, (1, 1), SkewPoly(t, "F", (1, 1)))
+        f2, f2_L = SkewPoly(t, "F", (1, 1)), SkewPoly(t, "L", (1, 1))
+        refused = [  # the F-level z + 1 is stored; its L-level twin is refused
+            (NotADivisor, lambda: product_generator_poly(t, (1, 0, 1), f2)),
+            (NotADivisor, lambda: product_code_from_polys(t, (1, 1), SkewPoly(t, "F", (1, 0, 1)))),
+            (LevelMismatch, lambda: product_generator_poly(t, (1, 1), f2_L)),
+            (LevelMismatch, lambda: product_code_from_polys(t, (1, 1), f2_L)),
+            (LevelMismatch, lambda: skew_code_from_poly(t, f2_L)),
+            (GeneratorNotOverE, lambda: product_defining_set(t, (t.F.gen, 1), f2)),
+        ]
+        for _ in range(2):
+            for error, build in refused:
+                with pytest.raises(error):
+                    build()
+
+    def test_factor_codes_built_once(self, monkeypatch):
+        # two products that share f1 build C1 once; a memo that rebuilt
+        # every factor per product is the cost this guards against
+        monkeypatch.setattr(product, "_factor_cache", {})
+        built = []
+        orbit = product.shift_orbit_code
+        monkeypatch.setattr(product, "shift_orbit_code", lambda t, v, part: (
+            built.append(part.parts) or orbit(t, v, part)
+        ))
+        t = build_tower(*self.N15)
+        f1 = (1, 1)
+        f2s = [SkewPoly(t, "F", (2, 1)), SkewPoly(t, "F", (3, 1))]
+        for _ in range(2):
+            for f2 in f2s:
+                P = product_code_from_polys(t, f1, f2)
+                C1, C2 = reference_cyclic_code(t, f1), reference_skew_code(t, f2)
+                assert (P.C1, P.C2) == (C1, C2)
+                assert P.code == tensor_code(C1, C2).code
+                g = product_generator_poly(t, f1, f2)
+                assert code_from_skew_generator(g, t) == P.code
+        assert sorted(built) == [(1,) * 5, (3,), (3,)]
 
 
 class TestWrap:

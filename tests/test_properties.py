@@ -22,11 +22,12 @@ from sumrank import (
     primitive_ell_root,
     sumrank_weight,
 )
-from sumrank.bounds import DefiningSetView, grid_points
+from sumrank import bounds
+from sumrank.bounds import DefiningSetView, grid_chains, grid_points
 from sumrank.cli import CodeSpec, parse_bivar
 from sumrank.errors import ParseError
 from sumrank.product import corpus_f1, corpus_f2, product_generator_poly
-from sumrank.skew import parse_coeff, parse_poly
+from sumrank.skew import norm_chain, parse_coeff, parse_poly
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
 
@@ -141,3 +142,23 @@ def test_grid_points_cached_per_tower(spec):
     fresh = (primitive_ell_root(t), find_normal_element(t))
     assert grid_points(t) == fresh
     assert grid_points(build_tower(*spec)) is grid_points(t)
+
+
+@pytest.mark.parametrize("spec", sorted(GRID_TOWERS))
+def test_grid_chains_cached_per_tower(spec, monkeypatch):
+    t, f1s, f2s = GRID_TOWERS[spec]
+    a, beta = grid_points(t)
+    L = t.L
+    powers, columns = grid_chains(t)
+    assert powers == tuple(tuple(L.pow(a, i * x) for x in range(t.ell)) for i in range(t.ell))
+    point = L.div(t.sigma(beta), beta)
+    assert [pt for pt, _ in columns] == [t.sigma(point, j) for j in range(t.m)]
+    assert all(chain == norm_chain(t, "L", pt, t.N) for pt, chain in columns)
+    assert grid_chains(build_tower(*spec)) is grid_chains(t)
+    # one chain per column point and tower, however many tables are filled
+    built = []
+    monkeypatch.setattr(bounds, "norm_chain", lambda *args: built.append(args) or norm_chain(*args))
+    grid_chains.cache_clear()
+    for f1, f2 in [(f1s[0], f2s[0]), (f1s[1], f2s[-2]), (f1s[-2], f2s[1])]:
+        DefiningSetView.from_generator(t, product_generator_poly(t, f1, f2))
+    assert len(built) == t.m

@@ -10,6 +10,7 @@ from sumrank.poly import format_terms
 from sumrank.skew import (
     SkewPoly,
     ev_beta,
+    norm_chain,
     parse_poly,
     right_divide,
     right_divides,
@@ -170,6 +171,9 @@ class TestEvaluation:
             f = _rand_poly(t, rng, level="L", maxdeg=5)
             a = rng.randrange(t.L.order)
             assert right_evaluate(f, a) == right_evaluate_by_division(f, a)
+            # a chain passed in, as the defining-set table does, longer than f
+            chain = norm_chain(t, "L", a, 7)
+            assert right_evaluate(f, a, chain) == right_evaluate_by_division(f, a)
 
     def test_frozen_eval_values(self, tower4):
         p = SkewPoly(tower4, "F", (2, 2, 1))
