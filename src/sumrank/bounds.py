@@ -8,10 +8,12 @@ second; membership of a pair means the code's generator evaluates to zero
 there.  A defining set is one ell x m table of booleans, filled with ell
 substitutions x := a^i and ell * m right evaluations; the powers of a and
 the norm chains of the column points are computed once per tower, like a
-and beta, so each entry is one dot product per poly.  Until ROADMAP item 1's
-coset rule lands, the checkers refuse repeated pairs and the search tracks
-pair residues mod lcm(ell, m), since a progression can revisit a pair when
-gcd(ell, m) > 1.
+and beta, so each entry is one dot product per poly.  The search reads the
+table as ell cyclic runs, one per start b, and reads no tower after that: a
+run's winner is found once per process and shared by every code and tower
+with the same run.  Until ROADMAP item 1's coset rule lands, the checkers
+refuse repeated pairs and the search tracks pair residues mod lcm(ell, m),
+since a progression can revisit a pair when gcd(ell, m) > 1.
 """
 
 from __future__ import annotations
@@ -297,8 +299,19 @@ def best_bound_search(D: DefiningSetView, limits: SearchLimits = SearchLimits(),
 
     Ties break by kind order bch < ht < roos, then by the lexicographically
     smallest parameter tuple.  Bound 1 (empty BCH grid) is always available.
+    The candidates of one start b depend only on its cyclic run (`_runs`),
+    so each distinct run's winner is found once per process (`_best_of_run`)
+    and shared by every code and tower with that run; the preconditions and
+    the winner's checker run on every call.
     """
-    _, kind, key, r = min(_candidates(D, limits), key=lambda c: (-c[0], c[1], c[2]))
+    _require_checkable(D)
+    best = _BOUND_ONE
+    for b, run in _runs(D, limits):
+        won = _best_of_run(*run)
+        if won is not None:
+            bound, kind, key, r = won
+            best = min(best, (bound, kind, (b, *key), r), key=_rank_key)
+    _, kind, key, r = best
     b, delta, step, t1, t2, s, ks = (None if v == -1 else v for v in key)
     params = BoundParams(
         ("bch", "ht", "roos")[kind], b, delta, t=step, r=r, t1=t1, t2=t2, s=s, ks=ks or None
@@ -306,97 +319,123 @@ def best_bound_search(D: DefiningSetView, limits: SearchLimits = SearchLimits(),
     return CHECKERS[params.kind](D, params, code_id)
 
 
+_BOUND_ONE = (1, 0, (0, 1, 1, -1, -1, -1, ()), 0)  # the empty BCH grid, b = 0, t = 1
+
+
+def _rank_key(c):
+    """The search's order: the best bound first, then kind, then parameters."""
+    return (-c[0], c[1], c[2])
+
+
 def _candidates(D: DefiningSetView, limits: SearchLimits):
     """Yield every certificate the search considers, as (bound, kind index,
     (b, delta, t, t1, t2, s, ks), r); a field the kind does not use is -1,
     or () for ks."""
-    t = D.tower
     _require_checkable(D)
-    n = t.n
+    yield _BOUND_ONE
+    for b, run in _runs(D, limits):
+        for bound, kind, key, r in _run_candidates(*run):
+            yield (bound, kind, (b, *key), r)
+
+
+def _runs(D: DefiningSetView, limits: SearchLimits):
+    """Yield (b, (memb, lcm(ell, m), delta_max, r_max)) for each start b < ell,
+    memb[e] the membership of the grid pair ((b + e) mod ell, e mod m), e < n.
+
+    Start b + ell reads the run of b, and the tie-break keeps the smaller,
+    so each start mod ell is read once.  Two exponents hit the same pair
+    exactly when they agree modulo lcm(ell, m)."""
+    t = D.tower
+    n, ell, m = t.n, t.ell, t.m
     dmax = n if limits.delta_max is None else limits.delta_max
     rmax = n if limits.r_max is None else limits.r_max
+    lc = (ell * m) // gcd(ell, m)
+    for b in range(ell):
+        yield b, (tuple(D.table[(b + e) % ell][e % m] for e in range(n)), lc, dmax, rmax)
+
+
+@lru_cache(maxsize=None)
+def _best_of_run(memb, lc, dmax, rmax):
+    """The search's best candidate of one run, None if it has none."""
+    return min(_run_candidates(memb, lc, dmax, rmax), key=_rank_key, default=None)
+
+
+def _run_candidates(memb, lc, dmax, rmax):
+    """Yield the candidates of one cyclic run as (bound, kind index,
+    (delta, t, t1, t2, s, ks), r), the start b left out.  It reads no tower:
+    n is the run's length, and steps are units mod n.
+
+    Membership and pairwise distinctness are lookups on e mod n and e mod
+    lc; a set of residues mod lc is a bit mask."""
+    n = len(memb)
     units = _units(n)
-    yield (1, 0, (0, 1, 1, -1, -1, -1, ()), 0)
-
-    # Everything below tracks pairs through the exponent e: with the grid
-    # pair at ((b + e) mod ell, e mod m), two exponents hit the same pair
-    # exactly when they agree modulo lcm(ell, m).  Membership and pairwise
-    # distinctness are therefore lookups on e mod n and e mod lcm.  A set of
-    # residues mod lcm is a bit mask.
-    lc = (t.ell * t.m) // gcd(t.ell, t.m)
     gcd_n = [gcd(n, k) for k in range(n)]
+    for step in units:
+        # base(delta) = {step * i : i < delta - 1} grows by one exponent
+        # per delta, and the good offsets k (every base + k a member)
+        # shrink by that exponent's test.  Once the base fails, it fails
+        # for every larger delta.  shift[k] holds the residues of base + k
+        # for a good k, so shift[0] is the base's own; each is a translate
+        # of the base's distinct residues, so it has delta - 1 of them.
+        # The last delta reached, before a non-member, a repeated residue
+        # (delta - 1 = lcm, as step is a unit mod lcm) or dmax, is BCH's.
+        good, shift = range(n), [0] * n
+        reached = 1
+        for delta in range(2, dmax + 1):
+            e = (step * (delta - 2)) % n
+            if not memb[e] or shift[0] >> (e % lc) & 1:
+                break
+            reached = delta
+            # ascending, and starts with 0 since the base is all members
+            good = [k for k in good if memb[(e + k) % n]]
+            for k in good:
+                shift[k] |= 1 << ((e + k) % lc)
+            base = shift[0]
+            good_set = set(good)
 
-    # memb reads row (b + e) mod ell, so b and b + ell yield the same
-    # candidates and the tie-break keeps the smaller: each start mod ell once
-    for b in range(t.ell):
-        memb = [D.table[(b + e) % t.ell][e % t.m] for e in range(n)]
+            # ht: extend by columns k = s*t2 while fresh and member; a
+            # t2 outside the good offsets stops at r = 0
+            for t2 in good[1:]:
+                if gcd_n[t2] >= delta:
+                    continue
+                seen = base
+                r = 0
+                while r + 1 <= rmax:
+                    k = ((r + 1) * t2) % n
+                    if k not in good_set or seen & shift[k]:
+                        break
+                    seen |= shift[k]
+                    r += 1
+                if r >= 1:
+                    yield (delta + r, 1, (delta, -1, step, t2, -1, ()), r)
 
-        for step in units:
-            # base(delta) = {step * i : i < delta - 1} grows by one exponent
-            # per delta, and the good offsets k (every base + k a member)
-            # shrink by that exponent's test.  Once the base fails, it fails
-            # for every larger delta.  shift[k] holds the residues of base + k
-            # for a good k, so shift[0] is the base's own; each is a translate
-            # of the base's distinct residues, so it has delta - 1 of them.
-            # The last delta reached, before a non-member, a repeated residue
-            # (delta - 1 = lcm, as step is a unit mod lcm) or dmax, is BCH's.
-            good, shift = range(n), [0] * n
-            reached = 1
-            for delta in range(2, dmax + 1):
-                e = (step * (delta - 2)) % n
-                if not memb[e] or shift[0] >> (e % lc) & 1:
-                    break
-                reached = delta
-                # ascending, and starts with 0 since the base is all members
-                good = [k for k in good if memb[(e + k) % n]]
-                for k in good:
-                    shift[k] |= 1 << ((e + k) % lc)
-                base = shift[0]
-                good_set = set(good)
+            # roos: every offset set {0} | S, S a nonempty subset of the
+            # good offsets, with r <= rmax, the window k_r <= delta + r - 2
+            # and pairwise-fresh pair residues.  Each condition holds for
+            # a set exactly when it holds for every prefix, so the sets
+            # grow depth-first in increasing order: a failed window ends
+            # the level (later offsets are larger), a residue collision
+            # skips one offset.
+            pos = good[1:]
+            fresh = [shift[k] for k in pos]
 
-                # ht: extend by columns k = s*t2 while fresh and member; a
-                # t2 outside the good offsets stops at r = 0
-                for t2 in good[1:]:
-                    if gcd_n[t2] >= delta:
+            def grow(ks, seen, start):
+                r = len(ks)  # r of ks plus one more offset
+                if r > rmax:
+                    return
+                for i in range(start, len(pos)):
+                    if pos[i] > delta + r - 2:
+                        break
+                    if seen & fresh[i]:
                         continue
-                    seen = base
-                    r = 0
-                    while r + 1 <= rmax:
-                        k = ((r + 1) * t2) % n
-                        if k not in good_set or seen & shift[k]:
-                            break
-                        seen |= shift[k]
-                        r += 1
-                    if r >= 1:
-                        yield (delta + r, 1, (b, delta, -1, step, t2, -1, ()), r)
+                    ks_i = ks + (pos[i],)
+                    yield (delta + r, 2, (delta, -1, -1, -1, step, ks_i), r)
+                    yield from grow(ks_i, seen | fresh[i], i + 1)
 
-                # roos: every offset set {0} | S, S a nonempty subset of the
-                # good offsets, with r <= rmax, the window k_r <= delta + r - 2
-                # and pairwise-fresh pair residues.  Each condition holds for
-                # a set exactly when it holds for every prefix, so the sets
-                # grow depth-first in increasing order: a failed window ends
-                # the level (later offsets are larger), a residue collision
-                # skips one offset.
-                pos = good[1:]
-                fresh = [shift[k] for k in pos]
+            yield from grow((0,), base, 0)
 
-                def grow(ks, seen, start):
-                    r = len(ks)  # r of ks plus one more offset
-                    if r > rmax:
-                        return
-                    for i in range(start, len(pos)):
-                        if pos[i] > delta + r - 2:
-                            break
-                        if seen & fresh[i]:
-                            continue
-                        ks_i = ks + (pos[i],)
-                        yield (delta + r, 2, (b, delta, -1, -1, -1, step, ks_i), r)
-                        yield from grow(ks_i, seen | fresh[i], i + 1)
-
-                yield from grow((0,), base, 0)
-
-            if reached >= 2:
-                yield (reached, 0, (b, reached, step, -1, -1, -1, ()), 0)
+        if reached >= 2:
+            yield (reached, 0, (reached, step, -1, -1, -1, ()), 0)
 
 
 # -- linearized Reed-Solomon rank oracles -----------------------------------

@@ -121,13 +121,23 @@ class LinearCode:
     def __init__(self, tower: FieldTower, rows, partition: Partition):
         if rows and any(len(r) != partition.n for r in rows):
             raise LengthMismatch("generator rows do not match the partition length")
+        self._set(tower, partition, *linalg.rref(rows, tower.F))
+
+    def _set(self, tower, partition, G, pivots):
         self.tower = tower
         self.partition = partition
         self.n = partition.n
-        G, pivots = linalg.rref(rows, tower.F)
         self.G = tuple(G)
         self.pivots = tuple(pivots)
-        self.k = len(G)
+        self.k = len(self.G)
+
+    @classmethod
+    def _from_rref(cls, tower, G, pivots, partition: Partition) -> "LinearCode":
+        """The code whose canonical RREF rows and pivot columns are already
+        known; the caller vouches for them, nothing is reduced."""
+        code = cls.__new__(cls)
+        code._set(tower, partition, G, pivots)
+        return code
 
     @property
     def field(self):

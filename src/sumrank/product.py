@@ -64,13 +64,19 @@ class ProductCode:
 
 
 def tensor_code(C1: LinearCode, C2: LinearCode, f1=None, f2=None) -> ProductCode:
+    """C1 (x) C2 with partition (N, ..., N), built from the factors' RREF
+    rows without a reduction."""
     if C1.tower != C2.tower:
         raise FieldMismatch("factors must live over the same field")
     t = C1.tower
     ell, N = C1.n, C2.n
-    rows = [list(tensor_vector(t, u, v)) for u in C1.G for v in C2.G]
-    part = Partition.equal(ell, N)
-    code = LinearCode(t, rows, part)
+    # The Kronecker rows of two RREF matrices, in (i, j) order, are in RREF:
+    # u_i (x) v_j leads with 1 at piv(u_i)*N + piv(v_j), which increases
+    # with (i, j), and every other row is 0 there.  RREF is unique, so this
+    # is the code LinearCode would reduce them to.
+    G = [tensor_vector(t, u, v) for u in C1.G for v in C2.G]
+    pivots = [i * N + j for i in C1.pivots for j in C2.pivots]
+    code = LinearCode._from_rref(t, G, pivots, Partition.equal(ell, N))
     return ProductCode(C1, C2, code, f1, f2)
 
 

@@ -485,6 +485,57 @@ class TestSearchMatchesReference:
         assert cert.bound <= dH * dR
 
 
+class TestRunMemo:
+    """Each distinct cyclic run is searched once per process; preconditions
+    and errors are checked on every call."""
+
+    def test_each_run_searched_once(self, tower9, corpus, monkeypatch):
+        # the 45 product codes repeat runs: a search that re-ran every start
+        # of every code would call _run_candidates once per (code, b)
+        bounds._best_of_run.cache_clear()
+        calls = []
+        inner = bounds._run_candidates
+        monkeypatch.setattr(bounds, "_run_candidates", lambda *run: (
+            calls.append(run) or inner(*run)
+        ))
+        f1s, f2s = corpus
+        views = [DefiningSetView.from_generator(tower9, g) for g in (
+            product_generator_poly(tower9, f1, f2) for f1 in f1s for f2 in f2s
+        ) if not g.is_zero()]
+        assert len(views) == 45
+        runs = {run for D in views for _, run in bounds._runs(D, SearchLimits())}
+        first = [best_bound_search(D).to_json() for D in views]
+        assert sorted(calls) == sorted(runs) and len(runs) < 45 * tower9.ell
+        calls.clear()
+        assert [best_bound_search(D).to_json() for D in views] == first
+        assert calls == []
+        bounds._best_of_run.cache_clear()  # drop the entries the wrapper made
+
+    def test_errors_raised_on_every_call(self, example, tower9):
+        _, _, _, D = example
+        zero = DefiningSetView(tower9, BivarPoly.zero(tower9), D.grid_table())
+        # N = 6 != m = 3, with the same 3 x 3 table
+        wide = DefiningSetView(build_tower(2, 1, 3, 2, 3, 6), None, D.grid_table())
+        for _ in range(2):
+            with pytest.raises(ZeroCode):
+                best_bound_search(zero)
+            with pytest.raises(PreconditionViolated):
+                best_bound_search(wide)
+            assert best_bound_search(D).bound == 3
+
+    @pytest.mark.parametrize("spec", [(2, 1, 3, 2, 3, 3), (5, 1, 2, 1, 4, 2)])
+    def test_run_candidates_read_a_bare_tuple(self, spec):
+        t = build_tower(*spec)
+        D = random_view(t, random.Random(9))  # 163 and 177 candidates
+        lc = t.ell * t.m // gcd(t.ell, t.m)
+        got = [(1, 0, (0, 1, 1, -1, -1, -1, ()), 0)]
+        for b in range(t.ell):
+            memb = tuple(D.table[(b + e) % t.ell][e % t.m] for e in range(t.n))
+            got += [(bound, kind, (b, *key), r)
+                    for bound, kind, key, r in bounds._run_candidates(memb, lc, t.n, t.n)]
+        assert got == list(bounds._candidates(D, SearchLimits()))
+
+
 class TestLrsMatrix:
     def test_full_rank_all_k(self, tower_ell1):
         t = tower_ell1

@@ -318,6 +318,19 @@ class TestTensorCode:
         P = tensor_code(C1, C2)
         assert P.code.k == 4 == P.k1 * P.k2
 
+    @pytest.mark.parametrize("spec", [(2, 1, 3, 2, 3, 3), (5, 1, 2, 1, 4, 2)])
+    def test_kronecker_rows_are_the_rref(self, spec):
+        # tensor_code takes the Kronecker rows as the product's RREF; reducing
+        # them again must change nothing, the zero code included
+        t = build_tower(*spec)
+        for f1 in corpus_f1(t):
+            for f2 in corpus_f2(t):
+                P = product_code_from_polys(t, f1, f2)
+                rows = [tensor_vector(t, u, v) for u in P.C1.G for v in P.C2.G]
+                R = LinearCode(t, rows, Partition.equal(t.ell, t.N))
+                assert (P.code.G, P.code.pivots, P.code.code_id()) == (R.G, R.pivots, R.code_id())
+                assert (P.code.k, P.code.partition) == (R.k, R.partition)
+
     def test_L_level_factor_refused(self, tower9):
         with pytest.raises(LevelMismatch):
             skew_code_from_poly(tower9, SkewPoly(tower9, "L", (1, 1)))
