@@ -4,12 +4,15 @@ Elements are ell x N coefficient grids c[i][j] (coefficient of x^i z^j).
 x is central; z twists coefficients but fixes x.  The grid also realizes the
 vector identifications of F^n with the ring: block i, position j of a vector
 goes to the coefficient of x^i z^j (both the z-outer and x-outer readings
-share the same grid).
+share the same grid).  A product f1(x) * f2(z) is a grid of rank one, the
+outer product of f1's and f2's coefficients; `split_product` recognises it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 
 from .errors import (
     LengthMismatch,
@@ -45,6 +48,12 @@ class BivarPoly:
 
     def is_zero(self) -> bool:
         return all(c == 0 for row in self.coeffs for c in row)
+
+    @cached_property
+    def factors(self):
+        """`split_product(self)`, split once per polynomial: a code and its
+        defining-set table both read it."""
+        return split_product(self)
 
     def _check(self, other):
         if self.tower != other.tower or self.level != other.level:
@@ -114,6 +123,26 @@ class BivarPoly:
         zero = (0,) * tower.N
         row = wrap(coeffs, tower.N, tower.gf(level))
         return BivarPoly(tower, level, (row,) + (zero,) * (tower.ell - 1))
+
+
+def split_product(g: BivarPoly):
+    """(f1, f2) with g = f1(x) * f2(z) and f1 monic, as coefficient vectors
+    of lengths ell and N, low first; None when g is zero or its grid has
+    rank above one.  f2 is g's last nonzero row, so f1's top coefficient is
+    1, and every row i must be f1_i times f2: O(ell * N) products."""
+    gf = g.field
+    rows = g.coeffs
+    top = next((i for i in range(len(rows) - 1, -1, -1) if any(rows[i])), None)
+    if top is None:
+        return None
+    f2 = rows[top]
+    j0 = next(j for j, c in enumerate(f2) if c)
+    mul, lead, zero = gf.mul, gf.inv(f2[j0]), (0,) * len(f2)
+    f1 = tuple(mul(row[j0], lead) for row in rows)
+    for a, row in zip(f1, rows):
+        if row != (tuple(map(mul, repeat(a), f2)) if a else zero):
+            return None
+    return f1, f2
 
 
 def biv_mul(f: BivarPoly, g: BivarPoly) -> BivarPoly:

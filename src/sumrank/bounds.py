@@ -8,7 +8,10 @@ second; membership of a pair means the code's generator evaluates to zero
 there.  A defining set is one ell x m table of booleans, filled with ell
 substitutions x := a^i and ell * m right evaluations; the powers of a and
 the norm chains of the column points are computed once per tower, like a
-and beta, so each entry is one dot product per poly.  The search reads the
+and beta, so each entry is one dot product per poly.  A generator
+f1(x) * f2(z) vanishes at (a^i, column j) iff f1(a^i) = 0 or f2 vanishes at
+column j, so its table is ell + m evaluations, each kept per tower and
+factor: a repeated factor costs none.  The search reads the
 table as ell cyclic runs, one per start b, and reads no tower after that: a
 run's winner is found once per process and shared by every code and tower
 with the same run.  Until ROADMAP item 1's coset rule lands, the checkers
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dfield
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd
 
 from . import linalg
@@ -36,7 +39,7 @@ from .errors import (
     SelectionTooSmall,
     ZeroCode,
 )
-from .skew import norm_chain, right_evaluate
+from .skew import SkewPoly, norm_chain, right_evaluate
 from .tower import FieldTower, find_normal_element, is_normal, primitive_ell_root
 
 
@@ -73,6 +76,32 @@ def common_zeros(t: FieldTower, polys) -> list[list[bool]]:
     return table
 
 
+# The table's factors, per tower: (tower, f1 vector) -> whether f1(a^i) = 0,
+# row by row; (tower, f2 vector) -> whether f2 right-vanishes, column by column.
+_zero_rows = {}
+_zero_columns = {}
+
+
+def product_zeros(t: FieldTower, f1, f2) -> list[list[bool]]:
+    """`common_zeros` of f1(x) * f2(z), f1 and f2 F-coefficient vectors:
+    substituting x := a^i leaves f1(a^i) * f2, and right evaluation is left
+    L-linear, so row i is all members when f1(a^i) = 0 and f2's zeros else."""
+    powers, columns = grid_chains(t)
+    rows = _zero_rows.get((t, f1))
+    if rows is None:
+        L, f1_L = t.L, [t.lift(c, "F", "L") for c in f1]
+        rows = _zero_rows[t, f1] = tuple(
+            reduce(L.add, map(L.mul, f1_L, row_powers), 0) == 0 for row_powers in powers
+        )
+    cols = _zero_columns.get((t, f2))
+    if cols is None:
+        f2_L = SkewPoly(t, "F", f2).lift_to_L()
+        cols = _zero_columns[t, f2] = tuple(
+            right_evaluate(f2_L, pt, chain) == 0 for pt, chain in columns
+        )
+    return [[True] * t.m if zero else list(cols) for zero in rows]
+
+
 class DefiningSetView:
     """The ell x m membership table of a CSC code's defining set."""
 
@@ -83,6 +112,8 @@ class DefiningSetView:
 
     @classmethod
     def from_generator(cls, tower, g: BivarPoly):
+        if g.level == "F" and g.factors is not None:
+            return cls(tower, g, product_zeros(tower, *g.factors))
         return cls(tower, g, common_zeros(tower, [g]))
 
     @classmethod

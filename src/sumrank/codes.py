@@ -11,7 +11,9 @@ minimum-distance oracle delegates to the numpy kernel in `kernels` and is
 guarded by an enumeration budget (default 2^24, override via SUMRANK_BUDGET)
 that counts all |F|^k codewords, although the kernel visits one per F*-line.
 Cyclic, skew-cyclic and CSC codes are all spans of a polynomial's orbit under
-the block shift rho (x times) and the twisted shift phi (z times).
+the block shift rho (x times) and the twisted shift phi (z times).  The code
+of a CSC generator that splits as f1(x) * f2(z) is the tensor of the two
+factor codes, each built once per tower, and no orbit is reduced.
 """
 
 from __future__ import annotations
@@ -21,12 +23,14 @@ import json
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 from . import linalg
 # biv_mul stays importable here: benchmark/tracer.py rebinds codes.biv_mul
 from .bivar import BivarPoly, biv_mul, nu_inverse  # noqa: F401
 from .errors import (
     BudgetExceeded,
+    FieldMismatch,
     InvalidParameter,
     LengthMismatch,
     LevelMismatch,
@@ -84,16 +88,12 @@ def span_rank(tower: FieldTower, block) -> int:
     return rank
 
 
-def _rank(tower: FieldTower, ranks: dict, block: tuple) -> int:
-    rank = ranks.get(block)
-    if rank is None:
-        rank = ranks[block] = span_rank(tower, block)
-    return rank
-
-
 def block_rank(tower: FieldTower, block) -> int:
     """The block's `span_rank`, closed once per tower and looked up after."""
-    return _rank(tower, _rank_cache.setdefault(tower, {}), tuple(block))
+    ranks, block = _rank_cache.setdefault(tower, {}), tuple(block)
+    if block not in ranks:
+        ranks[block] = span_rank(tower, block)
+    return ranks[block]
 
 
 def sumrank_weight(tower, c, part: Partition) -> int:
@@ -104,7 +104,11 @@ def sumrank_weight(tower, c, part: Partition) -> int:
     w = 0
     off = 0
     for p in part.parts:
-        w += _rank(tower, ranks, c[off : off + p])
+        block = c[off : off + p]
+        rank = ranks.get(block)
+        if rank is None:  # closed on a miss only, once per block and tower
+            rank = ranks[block] = span_rank(tower, block)
+        w += rank
         off += p
     return w
 
@@ -313,9 +317,66 @@ def shift_orbit_code(t: FieldTower, v, part: Partition) -> LinearCode:
     return LinearCode(t, rows, part)
 
 
+def tensor_vector(tower: FieldTower, u, v):
+    """(u_0*v | u_1*v | ... | u_{ell-1}*v)."""
+    if not u or not v:
+        raise LengthMismatch("factors must be nonempty vectors")
+    mul, zero = tower.F.mul, (0,) * len(v)
+    out = []
+    for a in u:
+        out += map(mul, repeat(a), v) if a else zero
+    return tuple(out)
+
+
+_orbit_cache = {}  # (tower, parts, factor vector) -> the factor's shift-orbit code
+_kronecker_cache = {}  # (C1, C2) -> C1 (x) C2
+
+
+def factor_code(t: FieldTower, v, part: Partition) -> LinearCode:
+    """The shift-orbit code of a factor's vector v, ell blocks of size 1 for
+    an f1 or one block of size N for an f2, built once per tower."""
+    key = (t, part.parts, v)
+    if key not in _orbit_cache:
+        _orbit_cache[key] = shift_orbit_code(t, v, part)
+    return _orbit_cache[key]
+
+
+def kronecker_code(C1: LinearCode, C2: LinearCode) -> LinearCode:
+    """C1 (x) C2 on C1.n blocks of size C2.n, from the factors' RREF rows
+    without a reduction, built once per pair of factors."""
+    key = (C1, C2)
+    if key in _kronecker_cache:
+        return _kronecker_cache[key]
+    if C1.tower != C2.tower:
+        raise FieldMismatch("factors must live over the same field")
+    t, N = C1.tower, C2.n
+    # The Kronecker rows of two RREF matrices, in (i, j) order, are in RREF:
+    # u_i (x) v_j leads with 1 at piv(u_i)*N + piv(v_j), which increases
+    # with (i, j), and every other row is 0 there.  RREF is unique, so this
+    # is the code LinearCode would reduce them to.
+    G = [tensor_vector(t, u, v) for u in C1.G for v in C2.G]
+    pivots = [i * N + j for i in C1.pivots for j in C2.pivots]
+    code = LinearCode._from_rref(t, G, pivots, Partition.equal(C1.n, N))
+    _kronecker_cache[key] = code
+    return code
+
+
 def code_from_skew_generator(g: BivarPoly, t: FieldTower) -> LinearCode:
     """The code of the left ideal generated by g: x^i z^j * g is
-    rho^i phi^j(g) as a vector, so it is g's shift orbit."""
+    rho^i phi^j(g) as a vector, so it is g's shift orbit.
+
+    When g = f1(x) * f2(z), the code is the tensor of f1's cyclic code and
+    f2's skew-cyclic code, with the same RREF.  f1's cyclic code is the
+    ideal of d = gcd(f1, x^ell - 1), and d = a*f1, f1 = r*d for some a, r
+    mod x^ell - 1, so g and d(x) * f2(z) generate one left ideal.  d divides
+    x^ell - 1, so it lies over E (gcd(m, h) = 1) and theta fixes it:
+    x^i z^j * d f2 = (x^i d)(z^j f2), the Kronecker products of the two
+    factor orbits."""
     if g.level != "F":
         raise LevelMismatch("a code's generator has coefficients in F")
+    if g.factors is not None:
+        f1, f2 = g.factors
+        return kronecker_code(
+            factor_code(t, f1, Partition.hamming(t.ell)), factor_code(t, f2, Partition.rank(t.N))
+        )
     return shift_orbit_code(t, nu_inverse(g), Partition.equal(t.ell, t.N))

@@ -5,7 +5,10 @@ skew-cyclic code (rank metric) is a cyclic-skew-cyclic code of length ell*N
 with partition (N, ..., N).  Its sum-rank distance factors as d_H * d_R, its
 generator is f1(x) * f2(z), and when f1 has coefficients in E its defining
 set is the union-of-slices of the factors' defining sets, which feeds the
-product variants of the Roos and Hartmann-Tzeng bounds.
+product variants of the Roos and Hartmann-Tzeng bounds.  The factor codes
+and their tensor come from `codes`, which builds each once per tower and
+pair, so a product built here and the code of its generator
+(`code_from_skew_generator`) are one object.
 """
 
 from __future__ import annotations
@@ -15,9 +18,15 @@ from math import ceil
 
 from .bivar import BivarPoly, nu_map
 from .bounds import CHECKERS, BoundParams, DefiningSetView
-from .codes import LinearCode, Partition, min_distance_bruteforce, shift_orbit_code
+from .codes import (
+    LinearCode,
+    Partition,
+    factor_code,
+    kronecker_code,
+    min_distance_bruteforce,
+    tensor_vector,
+)
 from .errors import (
-    FieldMismatch,
     GeneratorNotOverE,
     LengthMismatch,
     LevelMismatch,
@@ -27,14 +36,6 @@ from .errors import (
 from .poly import divides, mul, trim, wrap, xl_minus_one
 from .skew import SkewPoly, right_divides, sigma_eval
 from .tower import FieldTower, primitive_ell_root
-
-
-def tensor_vector(tower: FieldTower, u, v):
-    """(u_0*v | u_1*v | ... | u_{ell-1}*v)."""
-    gf = tower.F
-    if not u or not v:
-        raise LengthMismatch("factors must be nonempty vectors")
-    return tuple(gf.mul(a, b) for a in u for b in v)
 
 
 @dataclass(frozen=True)
@@ -64,41 +65,28 @@ class ProductCode:
 
 
 def tensor_code(C1: LinearCode, C2: LinearCode, f1=None, f2=None) -> ProductCode:
-    """C1 (x) C2 with partition (N, ..., N), built from the factors' RREF
-    rows without a reduction."""
-    if C1.tower != C2.tower:
-        raise FieldMismatch("factors must live over the same field")
-    t = C1.tower
-    ell, N = C1.n, C2.n
-    # The Kronecker rows of two RREF matrices, in (i, j) order, are in RREF:
-    # u_i (x) v_j leads with 1 at piv(u_i)*N + piv(v_j), which increases
-    # with (i, j), and every other row is 0 there.  RREF is unique, so this
-    # is the code LinearCode would reduce them to.
-    G = [tensor_vector(t, u, v) for u in C1.G for v in C2.G]
-    pivots = [i * N + j for i in C1.pivots for j in C2.pivots]
-    code = LinearCode._from_rref(t, G, pivots, Partition.equal(ell, N))
-    return ProductCode(C1, C2, code, f1, f2)
+    """C1 (x) C2 with partition (N, ..., N): `codes.kronecker_code`."""
+    return ProductCode(C1, C2, kronecker_code(C1, C2), f1, f2)
 
 
-# What product codes read of a factor, computed once per tower:
-# (tower, "x" or "z", trimmed coefficients) -> [the factor mod y^L - 1 as a
-# vector, its shift-orbit code or None until asked for].  A factor enters
-# only once it has passed its divisor test, so errors are raised every call.
+# Each factor's vector mod y^L - 1, once per tower: (tower, "x" or "z",
+# trimmed coefficients) -> the vector.  A factor enters only once it has
+# passed its divisor test, so errors are raised every call.
 _factor_cache = {}
 
 
 def _f1_factor(t: FieldTower, f1):
-    """f1's entry, once f1 | x^ell - 1."""
+    """f1's vector, once f1 | x^ell - 1."""
     key = (t, "x", trim(f1))
     if key not in _factor_cache:
         if not divides(key[2], xl_minus_one(t.ell, t.F), t.F):
             raise NotADivisor("f1 must divide x^ell - 1")
-        _factor_cache[key] = [wrap(key[2], t.ell, t.F), None]
+        _factor_cache[key] = wrap(key[2], t.ell, t.F)
     return _factor_cache[key]
 
 
 def _f2_factor(t: FieldTower, f2: SkewPoly):
-    """f2's entry, once f2 is over F and right-divides z^N - 1."""
+    """f2's vector, once f2 is over F and right-divides z^N - 1."""
     if f2.level != "F":
         raise LevelMismatch("a code's generator has coefficients in F")
     key = (t, "z", f2.coeffs)
@@ -106,41 +94,34 @@ def _f2_factor(t: FieldTower, f2: SkewPoly):
     if f2.tower != t or key not in _factor_cache:
         if not right_divides(f2, SkewPoly.z_pow_minus_one(t, t.N)):
             raise NotADivisor("f2 must be a right divisor of z^N - 1")
-        _factor_cache[key] = [wrap(f2.coeffs, t.N, t.F), None]
+        _factor_cache[key] = wrap(f2.coeffs, t.N, t.F)
     return _factor_cache[key]
-
-
-def _orbit_code(t: FieldTower, entry, part: Partition) -> LinearCode:
-    if entry[1] is None:
-        entry[1] = shift_orbit_code(t, entry[0], part)
-    return entry[1]
 
 
 def cyclic_code_from_poly(t: FieldTower, f1) -> LinearCode:
     """The [ell, ell - deg f1] cyclic code generated by f1 | x^ell - 1: the
     block-shift orbit of f1 on ell blocks of size 1, built once per tower."""
-    return _orbit_code(t, _f1_factor(t, f1), Partition.hamming(t.ell))
+    return factor_code(t, _f1_factor(t, f1), Partition.hamming(t.ell))
 
 
 def skew_code_from_poly(t: FieldTower, f2: SkewPoly) -> LinearCode:
     """The [N, N - deg f2] skew-cyclic code generated by f2 | z^N - 1: the
     twisted-shift orbit of f2 on one block of size N, built once per tower."""
-    return _orbit_code(t, _f2_factor(t, f2), Partition.rank(t.N))
+    return factor_code(t, _f2_factor(t, f2), Partition.rank(t.N))
 
 
 def product_generator_poly(t: FieldTower, f1, f2: SkewPoly) -> BivarPoly:
     """g = f1(x) * f2(z) in the bivariate quotient ring: f1 stands on the
     left, so the coefficient of x^i z^j is f1_i * f2_j, with no twist; as a
     vector that is the tensor of the factors' vectors."""
-    return nu_map(tensor_vector(t, _f1_factor(t, f1)[0], _f2_factor(t, f2)[0]), t)
+    return nu_map(tensor_vector(t, _f1_factor(t, f1), _f2_factor(t, f2)), t)
 
 
 def product_defining_set(t: FieldTower, f1, f2: SkewPoly):
     """Membership predicate on L-encodings: (a, beta) is a member iff
     f1(a) = 0 or the sigma-evaluation of f2 at beta vanishes."""
     f1 = trim(f1)
-    e_in_f = {t.lift(v, "E", "F") for v in range(t.E.order)}
-    if any(c not in e_in_f for c in f1):
+    if not t.over_E(f1):
         raise GeneratorNotOverE("f1 must have coefficients in E")
     L = t.L
     f1_L = [t.lift(c, "F", "L") for c in f1]

@@ -12,6 +12,7 @@ beta of the paper are handed out as L-encodings.
 
 from __future__ import annotations
 
+from functools import cached_property
 from math import gcd
 
 from . import linalg
@@ -80,6 +81,14 @@ class FieldTower:
         if val == 0:
             return 0
         return self.gf(to).pow(self._images[frm, to], self.gf(frm).log[val])
+
+    def over_E(self, coeffs) -> bool:
+        """Whether every F-encoding in coeffs lies in E, the field theta fixes."""
+        return self._E_in_F.issuperset(coeffs)
+
+    @cached_property
+    def _E_in_F(self) -> frozenset:  # E's copy in F, lifted once per tower
+        return frozenset(self.lift(v, "E", "F") for v in range(self.E.order))
 
     # -- the automorphism ----------------------------------------------------
 

@@ -13,7 +13,8 @@ import pytest
 import sumrank
 from sumrank.cli import _render, main, parse_bivar, parse_code_spec
 from sumrank.errors import ParseError
-from sumrank.skew import parse_poly
+from sumrank.product import product_code_from_polys
+from sumrank.skew import SkewPoly, parse_poly
 from sumrank.tower import build_tower
 
 TOWER_SECTION = """\
@@ -156,6 +157,18 @@ class TestSubcommands:
         data = json.loads(out)
         assert data["code"]["k"] == 2
         assert data["code"]["cyclic_skew_cyclic"] is True
+
+    def test_code_build_of_factors(self, capsys, tmp_path):
+        # an f1/f2 spec on the n = 15 tower builds the product of its factors
+        tower15 = TOWER_SECTION.replace("h = 2", "h = 4").replace("ell = 3", "ell = 5")
+        path = spec_file(tmp_path, tower15 + "\n[generator]\nf1 = x+1\nf2 = z+2\n")
+        code, out, _ = run(capsys, "code", "build", "--code", path)
+        assert code == 0
+        t = build_tower(2, 1, 3, 4, 5, 3)
+        P = product_code_from_polys(t, (1, 1), SkewPoly(t, "F", (2, 1)))
+        data = json.loads(out)["code"]
+        assert (data["code_id"], data["k"]) == (P.code.code_id(), 8)
+        assert data["cyclic_skew_cyclic"] is True
 
     def test_distance(self, capsys, gen_spec_file):
         code, out, _ = run(capsys, "distance", "--code", gen_spec_file)

@@ -13,10 +13,10 @@ from sumrank import (
     min_distance_bruteforce,
     sumrank_weight,
 )
-from sumrank import product
-from sumrank.bivar import BivarPoly, biv_mul
-from sumrank.bounds import BoundParams, DefiningSetView
-from sumrank.codes import block_rank, hamming_weight
+from sumrank import bounds, codes, linalg, product
+from sumrank.bivar import BivarPoly, biv_mul, nu_inverse, split_product
+from sumrank.bounds import BoundParams, DefiningSetView, common_zeros
+from sumrank.codes import block_rank, hamming_weight, shift_orbit_code
 from sumrank.errors import (
     DivisionByZero,
     FieldMismatch,
@@ -27,7 +27,7 @@ from sumrank.errors import (
     PreconditionViolated,
 )
 from sumrank.gf import field
-from sumrank.poly import divides, divmod_poly, trim, wrap, xl_minus_one
+from sumrank.poly import divides, divmod_poly, mul, trim, wrap, xl_minus_one
 from sumrank.product import (
     ProductCode,
     corpus_f1,
@@ -252,11 +252,13 @@ class TestFactorMemo:
 
     def test_factor_codes_built_once(self, monkeypatch):
         # two products that share f1 build C1 once; a memo that rebuilt
-        # every factor per product is the cost this guards against
+        # every factor per product is the cost this guards against.  The
+        # factor codes are held by `codes`, which the generator route reads
         monkeypatch.setattr(product, "_factor_cache", {})
+        monkeypatch.setattr(codes, "_orbit_cache", {})
         built = []
-        orbit = product.shift_orbit_code
-        monkeypatch.setattr(product, "shift_orbit_code", lambda t, v, part: (
+        orbit = codes.shift_orbit_code
+        monkeypatch.setattr(codes, "shift_orbit_code", lambda t, v, part: (
             built.append(part.parts) or orbit(t, v, part)
         ))
         t = build_tower(*self.N15)
@@ -477,3 +479,104 @@ class TestProductBounds:
         P = product_code_from_polys(t, (1, 1, 1), SkewPoly(t, "F", (1, 1)))
         rep = product_bound(P, "roos", BoundParams("roos", 1, 2, r=0, s=1, ks=(0,)))
         assert rep["dR"] == 1 and rep["dH_lower"] == rep["bound"]
+
+
+SPLIT_TOWERS = [(2, 1, 3, 2, 3, 3), (2, 1, 3, 4, 5, 3), (5, 1, 2, 1, 4, 2), (7, 1, 2, 1, 6, 2)]
+
+
+def assert_general_routes(t, g):
+    """g's code and table equal those of the general routes: its whole shift
+    orbit reduced, and ell * m evaluations of g itself."""
+    C = code_from_skew_generator(g, t)
+    R = shift_orbit_code(t, nu_inverse(g), Partition.equal(t.ell, t.N))
+    assert (C.G, C.pivots, C.k, C.code_id()) == (R.G, R.pivots, R.k, R.code_id())
+    assert DefiningSetView.from_generator(t, g).table == common_zeros(t, [g])
+
+
+def product_matrix(t, f1, f2):
+    """The grid of f1(x) * f2(z): row i is f1_i times f2."""
+    return [[t.F.mul(a, b) for b in f2] for a in f1]
+
+
+class TestSplitRoute:
+    """A product generator's code and table come from its two factors."""
+
+    @pytest.mark.parametrize("spec", SPLIT_TOWERS, ids=str)
+    def test_every_corpus_product(self, spec):
+        t = build_tower(*spec)
+        for f1 in corpus_f1(t):
+            for f2 in corpus_f2(t):
+                g = product_generator_poly(t, f1, f2)
+                factors = (wrap(f1, t.ell, t.F), wrap(f2.coeffs, t.N, t.F))
+                # x^ell - 1 or z^N - 1 as a factor makes g zero, which does not split
+                assert split_product(g) == (None if g.is_zero() else factors)
+                assert_general_routes(t, g)
+                # one object: the code of g is the product built from the polys
+                if not g.is_zero():
+                    assert code_from_skew_generator(g, t) is product_code_from_polys(t, f1, f2).code
+
+    @pytest.mark.parametrize("spec", SPLIT_TOWERS, ids=str)
+    def test_random_rank_one(self, spec):
+        # f1 over E, over F, or a divisor d of x^ell - 1 times a random r, so
+        # that f1 is not over E and shares a factor with x^ell - 1: every
+        # rank-one g takes the factor route, and it gives the orbit's code
+        t = build_tower(*spec)
+        rng = random.Random(sum(spec))
+        in_E = [t.lift(v, "E", "F") for v in range(t.E.order)]
+        divisors = corpus_f1(t)
+        for trial in range(36):
+            if trial % 3 == 0:
+                f1 = tuple(rng.choice(in_E) for _ in range(t.ell))
+            elif trial % 3 == 1:
+                f1 = tuple(rng.randrange(t.F.order) for _ in range(t.ell))
+            else:
+                r = [rng.randrange(t.F.order) for _ in range(rng.randrange(1, t.ell + 1))]
+                f1 = wrap(mul(rng.choice(divisors), r, t.F), t.ell, t.F)
+            f2 = tuple(rng.randrange(t.F.order) for _ in range(t.N))
+            g = BivarPoly.from_lists(t, "F", product_matrix(t, f1, f2))
+            split = split_product(g)
+            if g.is_zero():
+                assert split is None
+            else:
+                u, v = split
+                assert u[max(i for i, c in enumerate(u) if c)] == 1
+                assert tensor_vector(t, u, v) == tensor_vector(t, f1, f2)
+                C1 = codes.factor_code(t, u, Partition.hamming(t.ell))
+                C2 = codes.factor_code(t, v, Partition.rank(t.N))
+                assert code_from_skew_generator(g, t) is codes.kronecker_code(C1, C2)
+            assert_general_routes(t, g)
+
+    def test_not_rank_one_and_zero(self, tower9):
+        t = tower9
+        for grid in ([[1, 0, 0], [0, 1, 0], [0, 0, 0]], [[1, 2, 0], [2, 4, 0], [3, 5, 1]]):
+            g = BivarPoly.from_lists(t, "F", grid)
+            assert split_product(g) is None
+            assert_general_routes(t, g)
+        zero = BivarPoly.zero(t)
+        assert split_product(zero) is None
+        assert code_from_skew_generator(zero, t).k == 0
+        assert_general_routes(t, zero)
+
+    def test_factors_built_no_reduction_and_no_evaluation(self, monkeypatch):
+        # once the factors are known, a product generator's code is reduced
+        # by no `linalg.rref` call, and a repeated f2 is not evaluated again
+        t = build_tower(2, 1, 3, 4, 5, 3)
+        f1s, f2s = corpus_f1(t), corpus_f2(t)
+        pairs = [(f1s[1], f2s[1]), (f1s[2], f2s[2])]
+        for f1, f2 in pairs:
+            product_code_from_polys(t, f1, f2)
+        gs = [product_generator_poly(t, f1, f2s[3]) for f1 in f1s[:-1]]  # the last g is 0
+        want = [common_zeros(t, [g]) for g in gs]
+        reduced, evaluated = [], []
+        rref, right_evaluate = linalg.rref, bounds.right_evaluate
+        monkeypatch.setattr(linalg, "rref", lambda *a: reduced.append(a) or rref(*a))
+        monkeypatch.setattr(bounds, "right_evaluate", lambda *a: evaluated.append(a) or right_evaluate(*a))
+        monkeypatch.setattr(bounds, "_zero_columns", {})
+        for f1, f2 in pairs:
+            g = product_generator_poly(t, f1, f2)
+            assert code_from_skew_generator(g, t) is product_code_from_polys(t, f1, f2).code
+        assert reduced == []
+        # the first table of f2s[3] evaluates it once per column, the others never
+        assert [DefiningSetView.from_generator(t, g).table for g in gs] == want
+        assert len(evaluated) == t.m
+

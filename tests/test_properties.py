@@ -1,5 +1,5 @@
-"""Hypothesis properties of the weights, the tower embeddings, the parsers and
-the defining-set tables.
+"""Hypothesis properties of the weights, the tower embeddings, the parsers,
+the defining-set tables and the distance under sum-rank isometries.
 
 Every property runs derandomized, so the examples are the same on each run.
 """
@@ -22,11 +22,13 @@ from sumrank import (
     primitive_ell_root,
     sumrank_weight,
 )
-from sumrank import bounds
+from sumrank import bounds, linalg
 from sumrank.bounds import DefiningSetView, grid_chains, grid_points
 from sumrank.cli import CodeSpec, parse_bivar
+from sumrank.codes import min_distance_bruteforce
 from sumrank.errors import ParseError
-from sumrank.product import corpus_f1, corpus_f2, product_generator_poly
+from sumrank.isometry import SumRankIsometry, apply_to_code
+from sumrank.product import corpus_f1, corpus_f2, product_code_from_polys, product_generator_poly
 from sumrank.skew import norm_chain, parse_coeff, parse_poly
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=60)
@@ -162,3 +164,36 @@ def test_grid_chains_cached_per_tower(spec, monkeypatch):
     for f1, f2 in [(f1s[0], f2s[0]), (f1s[1], f2s[-2]), (f1s[-2], f2s[1])]:
         DefiningSetView.from_generator(t, product_generator_poly(t, f1, f2))
     assert len(built) == t.m
+
+
+# codes small enough for a direct weight scan (at most 625 codewords): the
+# corpus products of dimension 1 to 3 on F8 and 1 to 2 on F25
+SCAN_CODES = {}
+for spec, k_max in [((2, 1, 3, 2, 3, 3), 3), ((5, 1, 2, 1, 4, 2), 2)]:
+    t, f1s, f2s = GRID_TOWERS[spec]
+    products = [product_code_from_polys(t, f1, f2).code for f1 in f1s for f2 in f2s]
+    SCAN_CODES[spec] = [C for C in products if 1 <= C.k <= k_max]
+
+
+def isometries(data, t):
+    """A sum-rank isometry of ell blocks of size N: F* scalars, invertible
+    matrices over E, a block permutation and a Frobenius power."""
+    ell, N = t.ell, t.N
+    square = st.lists(st.lists(elements(t.E), min_size=N, max_size=N), min_size=N, max_size=N)
+    invertible = square.filter(lambda M: linalg.rank(M, t.E) == N)
+    return SumRankIsometry(
+        tuple(data.draw(st.lists(elements(t.F, nonzero=True), min_size=ell, max_size=ell))),
+        tuple(tuple(map(tuple, data.draw(invertible))) for _ in range(ell)),
+        tuple(data.draw(st.permutations(range(ell)))),
+        data.draw(st.integers(0, t.F.deg - 1)),
+    )
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(st.data(), st.sampled_from(sorted(SCAN_CODES)))
+def test_distance_invariant_under_isometries(data, spec):
+    t = GRID_TOWERS[spec][0]
+    C = data.draw(st.sampled_from(SCAN_CODES[spec]))
+    image = apply_to_code(isometries(data, t), C)
+    scan = min(sumrank_weight(t, c, C.partition) for c in C.codewords() if any(c))
+    assert min_distance_bruteforce(image) == min_distance_bruteforce(C) == scan
